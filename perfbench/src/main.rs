@@ -68,8 +68,10 @@ fn parse_args() -> Result<Args, String> {
 /// The recorded environment of a run: seed, machine and pool
 /// parallelism, and the source revision when the checkout has one.
 fn environment(args: &Args) -> Vec<(String, String)> {
+    // Only this directory's own `.git`: git would otherwise search the
+    // parent directories for a repository.
     let rev = std::process::Command::new("git")
-        .args(["rev-parse", "HEAD"])
+        .args(["--git-dir=.git", "rev-parse", "HEAD"])
         .stderr(std::process::Stdio::null())
         .output()
         .ok()
