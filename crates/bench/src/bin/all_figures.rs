@@ -14,9 +14,9 @@ fn main() {
         "fig6_build",
         "fig7_updates",
         "fig8_queries",
-        "fig9_speedup",
+        "fig9b_speedup",
         "fig10_msf",
-        "fig11_crossover",
+        "fig11b_backends",
         "fig12_ternary",
     ] {
         run(fig);

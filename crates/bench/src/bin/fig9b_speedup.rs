@@ -1,11 +1,10 @@
 //! Figure 9b — end-to-end speedup vs thread count on the persistent pool.
 //!
-//! The companion to `fig9_speedup` (which sweeps query batches on the
-//! ternary forest only): this bin sweeps **threads × {build, updates, each
-//! query family}** on both the RC forest and the ternary forest, and
-//! writes the machine-readable `BENCH_speedup.json` so the repo's
-//! multi-thread perf trajectory is tracked from the moment the executor
-//! became a real pool. The paper's Fig. 9 frames the same claim: batched
+//! This bin sweeps **threads × {build, updates, each query family}** on
+//! both the RC forest and the ternary forest, and writes the
+//! machine-readable `BENCH_speedup.json` so the repo's multi-thread perf
+//! trajectory is tracked from the moment the executor became a real
+//! pool. The paper's Fig. 9 frames the same claim: batched
 //! dynamic-tree operations should scale with threads.
 //!
 //! Per (backend, family, threads) cell the JSON records the median wall

@@ -49,7 +49,8 @@ pub enum Request {
     /// traces — through the normal request path. Answered at the drain
     /// boundary of the epoch that picks it up (so the dump is consistent
     /// with a committed prefix); answers [`Response::Telemetry`].
-    /// Read-only snapshots answer it [`Response::Rejected`].
+    /// [`answer_read_only`](crate::answer_read_only) answers it
+    /// [`Response::Rejected`].
     DumpTelemetry,
 }
 

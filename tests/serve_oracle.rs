@@ -21,23 +21,9 @@ use rcforest::serve::{
 };
 use rcforest::{DynamicForest, ForestError, NaiveStdForest, RequestStream, RequestStreamConfig};
 use std::collections::HashMap;
-use std::hash::{DefaultHasher, Hash, Hasher};
 use std::time::Duration;
 
 const MAX_DEGREE: usize = 3;
-
-/// Canonical hash of the naive forest's full exported state — two equal
-/// hashes here are treated as "identical forest state" by the MVCC
-/// version-stamp audit.
-fn state_hash(nv: &NaiveStdForest) -> u64 {
-    let st = nv.export_state();
-    let mut h = DefaultHasher::new();
-    st.n.hash(&mut h);
-    st.edges.hash(&mut h);
-    st.weights.hash(&mut h);
-    st.marks.hash(&mut h);
-    h.finish()
-}
 
 struct Oracle {
     nv: NaiveStdForest,
@@ -299,36 +285,35 @@ fn run_oracle_mix(
     let log = auditor.take_commit_log();
     assert_eq!(log.len(), total, "every request committed exactly once");
 
-    // Replay: log order is commit order (updates then queries per epoch).
+    // Replay in log order, which must be commit order: epochs ascend, and
+    // within an epoch every update precedes every query. Each query is
+    // then checked against the naive replay of exactly its own epoch's
+    // committed prefix — all earlier epochs plus its epoch's updates.
     let mut oracle = Oracle::new(n, &initial);
     let mut epoch = 0u64;
+    let mut in_queries = false;
     let mut repr_seen: HashMap<u32, u32> = HashMap::new();
     let mut seen_seqs = std::collections::HashSet::new();
-    // MVCC version-stamp audit: `hashes[E]` is the state hash after epoch
-    // E's updates committed (E = 0 is the initial build). A query stamped
-    // `version` must observe exactly its own epoch's committed state, so
-    // `hashes[version]` must equal the hash of the current replay state.
-    let mut hashes: HashMap<u64, u64> = HashMap::new();
-    let mut cur_hash: Option<u64> = Some(state_hash(&oracle.nv));
     for entry in &log {
         assert!(seen_seqs.insert(entry.seq), "seq {} duplicated", entry.seq);
+        assert!(
+            entry.epoch >= epoch,
+            "log regresses from epoch {epoch} to {} (seq {})",
+            entry.epoch,
+            entry.seq
+        );
         if entry.epoch != epoch {
-            let h = cur_hash.unwrap_or_else(|| state_hash(&oracle.nv));
-            hashes.insert(epoch, h);
-            cur_hash = Some(h);
             epoch = entry.epoch;
+            in_queries = false;
             repr_seen.clear();
         }
         if entry.request.is_update() {
-            assert_eq!(
-                entry.version, entry.epoch,
-                "update stamped with a foreign epoch (seq {})",
-                entry.seq
+            assert!(
+                !in_queries,
+                "epoch {} seq {}: update logged after the epoch's queries",
+                entry.epoch, entry.seq
             );
             let want = oracle.apply_update(&entry.request);
-            if want.is_ok() {
-                cur_hash = None; // state changed; recompute lazily
-            }
             assert_eq!(
                 entry.response,
                 Response::Updated(want.clone()),
@@ -338,29 +323,7 @@ fn run_oracle_mix(
                 entry.request
             );
         } else {
-            assert!(
-                entry.version <= entry.epoch,
-                "query stamp {} leads its epoch {}",
-                entry.version,
-                entry.epoch
-            );
-            let h_now = *cur_hash.get_or_insert_with(|| state_hash(&oracle.nv));
-            let h_stamp = if entry.version == entry.epoch {
-                h_now
-            } else {
-                *hashes.get(&entry.version).unwrap_or_else(|| {
-                    panic!(
-                        "query stamped unseen version {} (epoch {})",
-                        entry.version, entry.epoch
-                    )
-                })
-            };
-            assert_eq!(
-                h_stamp, h_now,
-                "epoch {} seq {}: stamped version {} holds a different state \
-                 than the epoch the query belongs to",
-                entry.epoch, entry.seq, entry.version
-            );
+            in_queries = true;
             oracle.check_query(entry, &mut repr_seen);
         }
     }
@@ -373,7 +336,7 @@ fn serializability_oracle_eight_threads_coalesced() {
         ServeConfig {
             max_linger: Duration::from_micros(300),
             record_commit_log: true,
-            ..ServeConfig::coalesced()
+            ..ServeConfig::default()
         },
         8,
         400,
@@ -383,14 +346,15 @@ fn serializability_oracle_eight_threads_coalesced() {
 
 #[test]
 fn serializability_oracle_pipelined_query_heavy() {
-    // The pipeline's bread and butter: big query phases sweeping
-    // published versions while the worker commits later epochs. Every
-    // response must match naive replay of exactly its stamped version.
+    // Big query phases, each sweeping its epoch's committed state. (The
+    // name dates from the removed pipelined mode; the traffic is kept.)
+    // Every response must match naive replay of exactly its epoch's
+    // committed prefix.
     run_oracle_mix(
         ServeConfig {
             max_linger: Duration::from_micros(300),
             record_commit_log: true,
-            ..ServeConfig::pipelined()
+            ..ServeConfig::default()
         },
         8,
         400,
@@ -401,13 +365,11 @@ fn serializability_oracle_pipelined_query_heavy() {
 
 #[test]
 fn serializability_oracle_pipelined_update_heavy_depth2() {
-    // Update-heavy traffic at depth 2 starves the version table's reuse
-    // fast path (state changes almost every epoch) and keeps two query
-    // phases in flight — maximal pressure on buffer recycling + catch-up.
+    // Update-heavy traffic behind a long linger: state changes almost
+    // every epoch, so each query phase must see its own epoch's commits.
+    // (The name dates from the removed pipelined mode.)
     run_oracle_mix(
         ServeConfig {
-            pipeline_depth: 2,
-            retained_versions: 3,
             max_linger: Duration::from_millis(1),
             drain_threshold: 2_048,
             record_commit_log: true,
@@ -422,15 +384,14 @@ fn serializability_oracle_pipelined_update_heavy_depth2() {
 
 #[test]
 fn serializability_oracle_pipelined_release_scale() {
-    // The acceptance-scale run: 100k+ operations through the pipelined
-    // server in release builds (debug builds shrink it — the per-publish
-    // full-state debug assert makes the large run minutes-slow).
+    // The acceptance-scale run: 100k+ operations through the default
+    // server in release builds (debug builds shrink it to stay quick).
     let ops_per_thread = if cfg!(debug_assertions) { 500 } else { 13_000 };
     run_oracle(
         ServeConfig {
             max_linger: Duration::from_micros(300),
             record_commit_log: true,
-            ..ServeConfig::pipelined()
+            ..ServeConfig::default()
         },
         8,
         ops_per_thread,
@@ -500,7 +461,7 @@ fn serializability_oracle_adaptive_exploring_all_engines() {
             record_commit_log: true,
             explore_frac: 0.5,
             dispatch_mode: DispatchMode::Adaptive,
-            ..ServeConfig::pipelined()
+            ..ServeConfig::default()
         },
         8,
         300,
@@ -529,7 +490,7 @@ fn serializability_oracle_adaptive_release_scale() {
             record_commit_log: true,
             explore_frac: 0.2,
             dispatch_mode: DispatchMode::Adaptive,
-            ..ServeConfig::pipelined()
+            ..ServeConfig::default()
         },
         8,
         ops_per_thread,
@@ -548,7 +509,7 @@ fn serializability_oracle_adaptive_pinned_independent() {
             max_linger: Duration::from_micros(300),
             record_commit_log: true,
             dispatch_mode: DispatchMode::AlwaysIndependent,
-            ..ServeConfig::pipelined()
+            ..ServeConfig::default()
         },
         8,
         200,
@@ -566,7 +527,7 @@ fn serializability_oracle_adaptive_pinned_sequential() {
             max_linger: Duration::from_micros(300),
             record_commit_log: true,
             dispatch_mode: DispatchMode::AlwaysSequential,
-            ..ServeConfig::coalesced()
+            ..ServeConfig::default()
         },
         8,
         200,
