@@ -6,7 +6,7 @@
 use rc_gen::{Arrival, OpMix, RequestStream, RequestStreamConfig};
 use rc_serve::{
     DispatchStats, Durability, EpochTrace, MetricsSnapshot, ObsServerConfig, PhaseTotals, RcServe,
-    Request, Response, ServeConfig, ServeForest, SyncPolicy,
+    Request, Response, ServeConfig, ServeForest, ServeStats, SyncPolicy,
 };
 use std::io::{Read as _, Write as _};
 use std::time::{Duration, Instant};
@@ -259,17 +259,17 @@ pub fn run_load_reusing(spec: &LoadSpec, scratch: &mut Vec<EpochTrace>) -> LoadR
     if let Some((dir, _)) = &store_dir {
         let _ = std::fs::remove_dir_all(dir);
     }
-    let stats = audit.stats();
     // Telemetry reads are direct shared-state accessors, valid after
     // shutdown — by which point every epoch's trace has been published.
-    let snapshot = audit.metrics_snapshot();
+    let snapshot = audit.metrics();
+    let stats = ServeStats::from_snapshot(&snapshot);
     let dispatch = audit.dispatch_stats();
     let cost_model_json = audit.cost_model_json();
     audit.flight_dump_into(scratch);
     let phase = PhaseTotals::from_traces(scratch);
     let phase_coverage = phase.coverage();
     if std::env::var("RC_SERVE_DEBUG").is_ok() {
-        for e in audit.epoch_history().iter().rev().take(8).rev() {
+        for e in scratch.iter().rev().take(8).rev() {
             eprintln!(
                 "debug epoch {}: batch {} (u {} q {}, {} flushes) update {:.3} ms query {:.3} ms",
                 e.epoch,
@@ -277,7 +277,7 @@ pub fn run_load_reusing(spec: &LoadSpec, scratch: &mut Vec<EpochTrace>) -> LoadR
                 e.updates,
                 e.queries,
                 e.flushes,
-                e.update_ns as f64 / 1e6,
+                (e.admit_ns + e.commit_ns + e.wal_ns) as f64 / 1e6,
                 e.query_ns as f64 / 1e6
             );
         }

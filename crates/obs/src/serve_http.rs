@@ -305,14 +305,16 @@ impl ObsServer {
                         );
                         continue;
                     }
-                    inflight.fetch_add(1, Ordering::Relaxed);
-                    let inflight2 = Arc::clone(&inflight);
+                    let slot = ConnSlot::claim(&inflight);
                     let source2 = Arc::clone(&source);
+                    // The closure owns the slot, so it is released however
+                    // the connection ends: handled, handler panic, or a
+                    // spawn failure that drops the closure unrun.
                     let _ = thread::Builder::new()
                         .name("rc-obs-conn".into())
                         .spawn(move || {
+                            let _slot = slot;
                             let _ = handle_connection(stream, &*source2);
-                            inflight2.fetch_sub(1, Ordering::Relaxed);
                         });
                 }
             })?;
@@ -344,6 +346,23 @@ impl ObsServer {
 impl Drop for ObsServer {
     fn drop(&mut self) {
         self.stop();
+    }
+}
+
+/// One claimed connection slot of [`ObsServerConfig::max_connections`],
+/// released on drop.
+struct ConnSlot(Arc<AtomicUsize>);
+
+impl ConnSlot {
+    fn claim(inflight: &Arc<AtomicUsize>) -> Self {
+        inflight.fetch_add(1, Ordering::Relaxed);
+        ConnSlot(Arc::clone(inflight))
+    }
+}
+
+impl Drop for ConnSlot {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
@@ -430,20 +449,10 @@ fn handle_http(
             ),
         ),
     };
-    write_http_full(&mut stream, status, ctype, &body, with_body)
+    write_http(&mut stream, status, ctype, &body, with_body)
 }
 
 fn write_http(
-    stream: &mut TcpStream,
-    status: &str,
-    ctype: &str,
-    body: &str,
-    with_body: bool,
-) -> std::io::Result<()> {
-    write_http_full(stream, status, ctype, body, with_body)
-}
-
-fn write_http_full(
     stream: &mut TcpStream,
     status: &str,
     ctype: &str,
@@ -502,6 +511,8 @@ mod tests {
 
     struct StubSource {
         healthy: AtomicBool,
+        /// Make `costmodel()` panic, as a buggy source would.
+        panic_costmodel: bool,
     }
 
     impl ObsSource for StubSource {
@@ -545,21 +556,36 @@ mod tests {
                 },
             }
         }
+        fn costmodel(&self) -> String {
+            assert!(!self.panic_costmodel, "injected costmodel panic");
+            "{}".into()
+        }
+    }
+
+    /// One GET round trip. A refused (`503 busy`) or dropped connection
+    /// may reset the socket, so this reports I/O errors to the caller.
+    fn exchange(addr: SocketAddr, path: &str) -> std::io::Result<String> {
+        let mut s = TcpStream::connect(addr)?;
+        s.write_all(format!("GET {path} HTTP/1.0\r\nHost: x\r\n\r\n").as_bytes())?;
+        let mut buf = String::new();
+        s.read_to_string(&mut buf)?;
+        Ok(buf)
     }
 
     fn get(addr: SocketAddr, path: &str) -> (String, String) {
-        let mut s = TcpStream::connect(addr).unwrap();
-        s.write_all(format!("GET {path} HTTP/1.0\r\nHost: x\r\n\r\n").as_bytes())
-            .unwrap();
-        let mut buf = String::new();
-        s.read_to_string(&mut buf).unwrap();
+        let buf = exchange(addr, path).unwrap();
         let (head, body) = buf.split_once("\r\n\r\n").expect("full response");
         (head.to_string(), body.to_string())
     }
 
     fn start_stub() -> (ObsServer, Arc<StubSource>) {
+        start_source(false)
+    }
+
+    fn start_source(panic_costmodel: bool) -> (ObsServer, Arc<StubSource>) {
         let src = Arc::new(StubSource {
             healthy: AtomicBool::new(true),
+            panic_costmodel,
         });
         let server = ObsServer::start(ObsServerConfig::default(), src.clone()).unwrap();
         (server, src)
@@ -646,6 +672,31 @@ mod tests {
         s.read_to_end(&mut resp).unwrap();
         let (payload, _) = frame::decode_frame(&resp, 0).unwrap();
         assert!(payload.starts_with(b"ERR bad checksum"));
+    }
+
+    #[test]
+    fn panicking_handler_releases_its_connection_slot() {
+        // More panicking requests than `max_connections`: each must hand
+        // its slot back, or the endpoint would answer `503 busy` forever.
+        let (server, _src) = start_source(true);
+        let addr = server.local_addr();
+        for _ in 0..=ObsServerConfig::default().max_connections {
+            let _ = exchange(addr, "/costmodel");
+        }
+        // A handler's socket closes during its unwind, just before its slot
+        // is released, so allow the last release a moment to land.
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        loop {
+            let resp = exchange(addr, "/health");
+            if resp.as_ref().is_ok_and(|r| r.starts_with("HTTP/1.0 200")) {
+                break;
+            }
+            assert!(
+                std::time::Instant::now() < deadline,
+                "slots leaked: {resp:?}"
+            );
+            thread::sleep(Duration::from_millis(10));
+        }
     }
 
     #[test]

@@ -27,8 +27,9 @@
 //!    queries have answered.
 //! 5. **Respond** — per-request oneshot slots fill (updates right after
 //!    the final flush + WAL append, queries as their phase completes),
-//!    latencies are recorded, and per-epoch stats append to the history
-//!    ring.
+//!    latencies are recorded, and the epoch's [`EpochTrace`] is published
+//!    once: into the registry's counters and histograms and into the
+//!    flight recorder, the only per-epoch history.
 //!
 //! Durability ordering rule: an epoch's WAL append returns before its
 //! commit-tap event is sent, and both happen before any of its response
@@ -38,7 +39,7 @@
 use crate::agg::{ServeForest, ServeVertexWeight};
 use crate::exec::{answer_requests_timed, family_index, Dispatcher};
 use crate::request::{Request, Response, ResponseHandle, Slot};
-use crate::stats::{EpochStats, LatencyHistogram, ServeStats};
+use crate::stats::ServeStats;
 use crate::telemetry::{
     ServeTelemetry, SpanLayout, StallReport, TelemetryDump, PHASE_ADMIT, PHASE_DRAIN, PHASE_IDLE,
     PHASE_QUERY, PHASE_RESPOND, PHASE_WAL,
@@ -51,7 +52,7 @@ use rc_obs::{
 };
 use rc_parlay::hashtable::edge_key;
 use rc_store::{EpochRecord, FlushRecord, RecoveryReport, Store, StoreConfig, StoreError};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::Receiver;
 use std::sync::{mpsc, Arc, Condvar, Mutex};
@@ -79,11 +80,10 @@ pub struct ServeConfig {
     pub shards: usize,
     /// Record every request + response in commit order (tests/audits).
     pub record_commit_log: bool,
-    /// Per-epoch stats retained in the history ring.
-    pub epoch_history: usize,
     /// [`EpochTrace`] records retained in the flight-recorder ring
-    /// (newest win once full). Dump them via [`RcServe::flight_dump`] or
-    /// a [`Request::DumpTelemetry`].
+    /// (newest win once full) — the server's only per-epoch history;
+    /// running totals live in the metrics registry. Dump them via
+    /// [`ServeClient::flight_dump`] or a [`Request::DumpTelemetry`].
     pub flight_recorder: usize,
     /// Per-request trace sampling: capture a full causal span trace for
     /// a deterministic 1-in-N subset of requests (`0` disables, `1`
@@ -141,7 +141,6 @@ impl Default for ServeConfig {
             max_linger: Duration::from_micros(200),
             shards: 8,
             record_commit_log: false,
-            epoch_history: 64,
             flight_recorder: 256,
             trace_sample: 64,
             trace_seed: 0,
@@ -207,18 +206,6 @@ struct Pending {
     sampled: bool,
 }
 
-#[derive(Default)]
-struct StatsInner {
-    epochs: u64,
-    ops: u64,
-    updates: u64,
-    queries: u64,
-    flushes: u64,
-    batch_sum: u64,
-    max_batch: usize,
-    history: VecDeque<EpochStats>,
-}
-
 struct Shared {
     cfg: ServeConfig,
     shards: Vec<Mutex<Vec<Pending>>>,
@@ -230,8 +217,6 @@ struct Shared {
     /// Wake mutex holds the shutdown flag; producers notify under it.
     wake: Mutex<bool>,
     wake_cv: Condvar,
-    hist: Arc<LatencyHistogram>,
-    stats: Mutex<StatsInner>,
     log: Mutex<Vec<LogEntry>>,
     /// Metrics registry + flight recorder (see [`crate::telemetry`]).
     tel: ServeTelemetry,
@@ -252,6 +237,8 @@ struct Shared {
 /// Create with [`RcServe::start`], hand [`ServeClient`]s to client
 /// threads, stop with [`RcServe::shutdown`] (drains the queue and returns
 /// the forest). Dropping without `shutdown` also stops the worker.
+/// Telemetry is read through a [`ServeClient`], which stays valid after
+/// shutdown.
 pub struct RcServe {
     shared: Arc<Shared>,
     worker: Option<JoinHandle<ServeForest>>,
@@ -259,6 +246,8 @@ pub struct RcServe {
 }
 
 /// Cloneable submission handle; safe to share across client threads.
+/// It is also the one place server telemetry is read from: every
+/// accessor below stays valid after [`RcServe::shutdown`].
 #[derive(Clone)]
 pub struct ServeClient {
     shared: Arc<Shared>,
@@ -306,8 +295,7 @@ impl RcServe {
         store: Option<Store>,
         first_epoch: u64,
     ) -> RcServe {
-        let hist = Arc::new(LatencyHistogram::default());
-        let tel = ServeTelemetry::new(&cfg, Arc::clone(&hist));
+        let tel = ServeTelemetry::new(&cfg);
         // The cost model shares the trace seed so a fixed-seed run
         // replays the same explore/exploit schedule (and the oracle can
         // pin it). A persisted calibration table warm-starts the cells;
@@ -337,8 +325,6 @@ impl RcServe {
             accepting: AtomicBool::new(true),
             wake: Mutex::new(false),
             wake_cv: Condvar::new(),
-            hist,
-            stats: Mutex::new(StatsInner::default()),
             log: Mutex::new(Vec::new()),
             tel,
             taps: Mutex::new(Vec::new()),
@@ -400,111 +386,21 @@ impl RcServe {
         rx
     }
 
-    /// Aggregate statistics so far. Stats for an epoch are booked after
-    /// its responses fill, so a client racing the worker may observe the
-    /// previous epoch; read via a retained [`ServeClient`] after
-    /// [`RcServe::shutdown`] for exact totals.
-    pub fn stats(&self) -> ServeStats {
-        stats_of(&self.shared)
-    }
-
-    /// The most recent per-epoch stats (up to `cfg.epoch_history`).
-    pub fn epoch_history(&self) -> Vec<EpochStats> {
-        epoch_history_of(&self.shared)
-    }
-
-    /// Point-in-time snapshot of every registered metric — serve phase
-    /// histograms, request counters, store/WAL series when durable, and
-    /// (with the `pool-metrics` feature) the work-stealing pool's
-    /// counters. Callable at any time, including after shutdown.
+    /// Point-in-time snapshot of every registered metric (see
+    /// [`ServeClient::metrics`]).
     pub fn metrics(&self) -> MetricsSnapshot {
-        self.shared.tel.snapshot()
-    }
-
-    /// The flight recorder's retained [`EpochTrace`]s, oldest first.
-    pub fn flight_dump(&self) -> Vec<EpochTrace> {
-        self.shared.tel.flight.dump()
-    }
-
-    /// [`Self::flight_dump`] into a caller-provided buffer, reusing its
-    /// allocation — the per-row capture path for pollers that dump every
-    /// few milliseconds (`serve_load` does, per measured row).
-    pub fn flight_dump_into(&self, out: &mut Vec<EpochTrace>) {
-        self.shared.tel.flight.dump_into(out);
-    }
-
-    /// The captured request traces: the deterministic 1-in-N sampled
-    /// ring, the always-captured slow ring, and the latency exemplars
-    /// (request end-to-end plus, when durable, WAL append/fsync).
-    pub fn request_traces(&self) -> TraceDump {
-        self.shared.tel.traces()
-    }
-
-    /// The adaptive-dispatch cost model — learned per-(family, engine,
-    /// k-octave) table, per-family crossover estimates, and decision
-    /// counters — as JSON (the `/costmodel` endpoint body).
-    pub fn cost_model_json(&self) -> String {
-        self.shared
-            .dispatch
-            .model
-            .to_json(self.shared.cfg.dispatch_mode.name())
-    }
-
-    /// Cumulative dispatch counters: per-(family, engine) decision and
-    /// query counts plus the explore total.
-    pub fn dispatch_stats(&self) -> DispatchStats {
-        self.shared.dispatch.model.dispatch_stats()
-    }
-
-    /// Snapshot of the learned calibration table (persistable via
-    /// [`rc_obs::CalibrationTable::save`] even without
-    /// [`ServeConfig::calibration_path`]).
-    pub fn calibration_table(&self) -> CalibrationTable {
-        self.shared.dispatch.model.table()
-    }
-
-    /// The postmortem frozen by the epoch-stall watchdog, if a stall has
-    /// ever been declared (requires [`ServeConfig::stall_deadline`]).
-    pub fn stall_report(&self) -> Option<StallReport> {
-        self.shared.tel.stall_report()
-    }
-
-    /// Liveness as `/health` reports it: healthy/ready flags, stall
-    /// count, and a human-readable detail line.
-    pub fn health_view(&self) -> HealthView {
-        self.shared
-            .tel
-            .health_view(self.shared.accepting.load(Ordering::SeqCst))
+        self.client().metrics()
     }
 
     /// Start the live observability endpoint for this server: a
     /// zero-dependency blocking HTTP/1.0 listener answering `/metrics`
     /// (Prometheus text), `/metrics.json`, `/health`, `/ready`,
     /// `/flight`, `/traces`, and `/costmodel` (the live adaptive-dispatch
-    /// cost table), plus the binary `DUMP_TELEMETRY` frame protocol. The endpoint holds only the shared telemetry state, so
-    /// it keeps answering (unready) after shutdown until dropped.
+    /// cost table), plus the binary `DUMP_TELEMETRY` frame protocol.
+    /// Each route reads through a [`ServeClient`] accessor, so the
+    /// endpoint keeps answering (unready) after shutdown until dropped.
     pub fn serve_obs(&self, cfg: ObsServerConfig) -> std::io::Result<ObsServer> {
-        ObsServer::start(
-            cfg,
-            Arc::new(ObsBridge {
-                shared: Arc::clone(&self.shared),
-            }),
-        )
-    }
-
-    /// The flight-recorder dump frozen when the worker failed (WAL
-    /// append error or poisoned compaction); `None` while healthy. The
-    /// failing epoch's partial trace is the last entry with
-    /// [`EpochTrace::failed`] set.
-    pub fn failure_dump(&self) -> Option<Vec<EpochTrace>> {
-        self.shared.tel.failure_dump()
-    }
-
-    /// Drain the commit log recorded so far (`record_commit_log` only),
-    /// in commit order: by epoch, updates (in submission order) before
-    /// queries.
-    pub fn take_commit_log(&self) -> Vec<LogEntry> {
-        take_log_of(&self.shared)
+        ObsServer::start(cfg, Arc::new(self.client()))
     }
 
     /// Stop accepting, drain every queued request, join the worker and
@@ -541,39 +437,6 @@ impl Drop for RcServe {
             self.signal_shutdown();
             let _ = w.join();
         }
-    }
-}
-
-/// Adapter exposing the shared telemetry state to the rc-obs TCP
-/// endpoint ([`RcServe::serve_obs`]).
-struct ObsBridge {
-    shared: Arc<Shared>,
-}
-
-impl ObsSource for ObsBridge {
-    fn metrics(&self) -> MetricsSnapshot {
-        self.shared.tel.snapshot()
-    }
-
-    fn flight(&self) -> Vec<EpochTrace> {
-        self.shared.tel.flight.dump()
-    }
-
-    fn traces(&self) -> TraceDump {
-        self.shared.tel.traces()
-    }
-
-    fn health(&self) -> HealthView {
-        self.shared
-            .tel
-            .health_view(self.shared.accepting.load(Ordering::SeqCst))
-    }
-
-    fn costmodel(&self) -> String {
-        self.shared
-            .dispatch
-            .model
-            .to_json(self.shared.cfg.dispatch_mode.name())
     }
 }
 
@@ -667,53 +530,59 @@ impl ServeClient {
         self.submit(request).wait()
     }
 
-    /// Aggregate statistics (see [`RcServe::stats`] for the race caveat;
-    /// exact once the server has shut down).
+    /// Aggregate statistics, derived from [`Self::metrics`]. An epoch
+    /// is booked after its responses fill, so a reader racing the worker
+    /// may observe the previous epoch; exact once the server has shut
+    /// down.
     pub fn stats(&self) -> ServeStats {
-        stats_of(&self.shared)
+        ServeStats::from_snapshot(&self.metrics())
     }
 
-    /// The most recent per-epoch stats.
-    pub fn epoch_history(&self) -> Vec<EpochStats> {
-        epoch_history_of(&self.shared)
-    }
-
-    /// Metrics snapshot (see [`RcServe::metrics`]); works after
-    /// shutdown, which makes a retained client the way to read final
-    /// totals.
-    pub fn metrics_snapshot(&self) -> MetricsSnapshot {
+    /// Point-in-time snapshot of every registered metric — serve phase
+    /// histograms, request counters, store/WAL series when durable, and
+    /// (with the `pool-metrics` feature) the work-stealing pool's
+    /// counters. Works after shutdown, which makes a retained client the
+    /// way to read final totals.
+    pub fn metrics(&self) -> MetricsSnapshot {
         self.shared.tel.snapshot()
     }
 
-    /// The flight recorder's retained traces (see
-    /// [`RcServe::flight_dump`]).
+    /// The flight recorder's retained [`EpochTrace`]s, oldest first.
     pub fn flight_dump(&self) -> Vec<EpochTrace> {
         self.shared.tel.flight.dump()
     }
 
-    /// The failure-frozen dump (see [`RcServe::failure_dump`]).
-    pub fn failure_dump(&self) -> Option<Vec<EpochTrace>> {
-        self.shared.tel.failure_dump()
-    }
-
-    /// [`ServeClient::flight_dump`] into a caller-provided buffer (see
-    /// [`RcServe::flight_dump_into`]).
+    /// [`Self::flight_dump`] into a caller-provided buffer, reusing its
+    /// allocation — the per-row capture path for pollers that dump every
+    /// few milliseconds (`serve_load` does, per measured row).
     pub fn flight_dump_into(&self, out: &mut Vec<EpochTrace>) {
         self.shared.tel.flight.dump_into(out);
     }
 
-    /// The captured request traces (see [`RcServe::request_traces`]).
+    /// The flight-recorder dump frozen when the worker failed (WAL
+    /// append error or poisoned compaction); `None` while healthy. The
+    /// failing epoch's partial trace is the last entry with
+    /// [`EpochTrace::failed`] set.
+    pub fn failure_dump(&self) -> Option<Vec<EpochTrace>> {
+        self.shared.tel.failure_dump()
+    }
+
+    /// The captured request traces: the deterministic 1-in-N sampled
+    /// ring, the always-captured slow ring, and the latency exemplars
+    /// (request end-to-end plus, when durable, WAL append/fsync).
     pub fn request_traces(&self) -> TraceDump {
         self.shared.tel.traces()
     }
 
-    /// The watchdog's stall postmortem (see [`RcServe::stall_report`]).
+    /// The postmortem frozen by the epoch-stall watchdog, if a stall has
+    /// ever been declared (requires [`ServeConfig::stall_deadline`]).
     pub fn stall_report(&self) -> Option<StallReport> {
         self.shared.tel.stall_report()
     }
 
-    /// The adaptive-dispatch cost model as JSON (see
-    /// [`RcServe::cost_model_json`]).
+    /// The adaptive-dispatch cost model — learned per-(family, engine,
+    /// k-octave) table, per-family crossover estimates, and decision
+    /// counters — as JSON (the `/costmodel` endpoint body).
     pub fn cost_model_json(&self) -> String {
         self.shared
             .dispatch
@@ -721,62 +590,59 @@ impl ServeClient {
             .to_json(self.shared.cfg.dispatch_mode.name())
     }
 
-    /// Cumulative dispatch counters (see [`RcServe::dispatch_stats`]).
+    /// Cumulative dispatch counters: per-(family, engine) decision and
+    /// query counts plus the explore total.
     pub fn dispatch_stats(&self) -> DispatchStats {
         self.shared.dispatch.model.dispatch_stats()
     }
 
-    /// Liveness as `/health` reports it (see [`RcServe::health_view`]).
+    /// Snapshot of the learned calibration table (persistable via
+    /// [`rc_obs::CalibrationTable::save`] even without
+    /// [`ServeConfig::calibration_path`]).
+    pub fn calibration_table(&self) -> CalibrationTable {
+        self.shared.dispatch.model.table()
+    }
+
+    /// Liveness as `/health` reports it: healthy/ready flags, stall
+    /// count, and a human-readable detail line.
     pub fn health_view(&self) -> HealthView {
         self.shared
             .tel
             .health_view(self.shared.accepting.load(Ordering::SeqCst))
     }
 
-    /// Drain the commit log (`record_commit_log` only), in commit
-    /// order. Like [`ServeClient::stats`], exact once the server
-    /// has shut down.
+    /// Drain the commit log recorded so far (`record_commit_log` only),
+    /// in commit order: by epoch, updates (in submission order) before
+    /// queries. Like [`Self::stats`], exact once the server has shut
+    /// down.
     pub fn take_commit_log(&self) -> Vec<LogEntry> {
-        take_log_of(&self.shared)
+        // The worker appends each epoch's updates, then its queries, so
+        // the log is already in commit order.
+        std::mem::take(&mut *self.shared.log.lock().unwrap_or_else(|e| e.into_inner()))
     }
 }
 
-fn take_log_of(shared: &Shared) -> Vec<LogEntry> {
-    // The worker appends each epoch's updates, then its queries, so the
-    // log is already in commit order.
-    std::mem::take(&mut *shared.log.lock().unwrap_or_else(|e| e.into_inner()))
-}
-
-fn stats_of(shared: &Shared) -> ServeStats {
-    let (traces_sampled, traces_slow) = shared.tel.capture_totals();
-    let s = shared.stats.lock().unwrap_or_else(|e| e.into_inner());
-    ServeStats {
-        traces_sampled,
-        traces_slow,
-        epochs: s.epochs,
-        ops: s.ops,
-        updates: s.updates,
-        queries: s.queries,
-        flushes: s.flushes,
-        mean_batch: if s.epochs == 0 {
-            0.0
-        } else {
-            s.batch_sum as f64 / s.epochs as f64
-        },
-        max_batch: s.max_batch,
-        latency: shared.hist.summary(),
+/// The live endpoint ([`RcServe::serve_obs`]) reads through a client.
+impl ObsSource for ServeClient {
+    fn metrics(&self) -> MetricsSnapshot {
+        ServeClient::metrics(self)
     }
-}
 
-fn epoch_history_of(shared: &Shared) -> Vec<EpochStats> {
-    shared
-        .stats
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .history
-        .iter()
-        .copied()
-        .collect()
+    fn flight(&self) -> Vec<EpochTrace> {
+        self.flight_dump()
+    }
+
+    fn traces(&self) -> TraceDump {
+        self.request_traces()
+    }
+
+    fn health(&self) -> HealthView {
+        self.health_view()
+    }
+
+    fn costmodel(&self) -> String {
+        self.cost_model_json()
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -963,7 +829,8 @@ impl Worker {
             .partition(|p| !matches!(p.request, Request::DumpTelemetry));
         for p in dumps {
             self.shared
-                .hist
+                .tel
+                .latency
                 .record(p.submitted.elapsed().as_nanos() as u64);
             p.slot.fill(Response::Telemetry(Box::new(TelemetryDump {
                 snapshot: self.shared.tel.snapshot(),
@@ -1094,10 +961,7 @@ impl Worker {
             let mut taps = self.shared.taps.lock().unwrap_or_else(|e| e.into_inner());
             taps.retain(|tx| tx.send(event.clone()).is_ok());
         }
-        let update_ns = t0.elapsed().as_nanos() as u64;
-        let flushes = phase.flushes;
-        trace.flushes = flushes as u32;
-        let updates_len = updates.len();
+        trace.flushes = phase.flushes as u32;
         // Span layout for this epoch's request traces: the update-side
         // phases every request rode through. The query phase adds its
         // duration below.
@@ -1114,7 +978,7 @@ impl Worker {
         let t_respond = Instant::now();
         for (p, r) in updates.iter().zip(&update_results) {
             let e2e = p.submitted.elapsed().as_nanos() as u64;
-            self.shared.hist.record(e2e);
+            self.shared.tel.latency.record(e2e);
             p.slot.fill(Response::Updated(r.clone()));
             self.shared.tel.maybe_capture(
                 &layout,
@@ -1138,18 +1002,6 @@ impl Worker {
                 });
             }
         }
-        let mut stats = EpochStats {
-            epoch: self.epoch,
-            batch: updates_len + queries.len(),
-            queue_depth,
-            updates: updates_len,
-            queries: queries.len(),
-            flushes,
-            update_ns,
-            query_ns: 0,
-            version_after: forest.version(),
-        };
-
         // ---- query phase ----
         if !queries.is_empty() {
             self.shared.tel.set_worker_phase(PHASE_QUERY);
@@ -1157,19 +1009,18 @@ impl Worker {
             let refs: Vec<&Request> = queries.iter().map(|p| &p.request).collect();
             let (responses, fam) =
                 answer_requests_timed(forest, &refs, Some(&self.shared.dispatch));
-            stats.query_ns = t1.elapsed().as_nanos() as u64;
-            trace.query_ns = stats.query_ns;
+            trace.query_ns = t1.elapsed().as_nanos() as u64;
             trace.family_ns = fam.ns;
             trace.family_counts = fam.counts;
             trace.family_engine = fam.engine;
             trace.family_predicted_ns = fam.predicted_ns;
             trace.family_explored = fam.explored;
-            layout.query_ns = stats.query_ns;
+            layout.query_ns = trace.query_ns;
             self.shared.tel.set_worker_phase(PHASE_RESPOND);
             let t_respond = Instant::now();
             for (p, r) in queries.iter().zip(&responses) {
                 let e2e = p.submitted.elapsed().as_nanos() as u64;
-                self.shared.hist.record(e2e);
+                self.shared.tel.latency.record(e2e);
                 p.slot.fill(r.clone());
                 self.shared.tel.maybe_capture(
                     &layout,
@@ -1201,25 +1052,8 @@ impl Worker {
             // postmortem before the loop stops.
             self.shared.tel.freeze(self.epoch);
         }
-        book_epoch(&self.shared, stats);
         !store_failed
     }
-}
-
-/// Book one finished epoch into the aggregate stats + history ring.
-fn book_epoch(shared: &Shared, stats: EpochStats) {
-    let mut s = shared.stats.lock().unwrap_or_else(|e| e.into_inner());
-    s.epochs += 1;
-    s.ops += stats.batch as u64;
-    s.updates += stats.updates as u64;
-    s.queries += stats.queries as u64;
-    s.flushes += stats.flushes as u64;
-    s.batch_sum += stats.batch as u64;
-    s.max_batch = s.max_batch.max(stats.batch);
-    if s.history.len() >= shared.cfg.epoch_history.max(1) {
-        s.history.pop_front();
-    }
-    s.history.push_back(stats);
 }
 
 // ---------------------------------------------------------------------

@@ -94,8 +94,9 @@ pub use agg::{PathSummary, ServeAgg, ServeForest, ServeVertexWeight};
 pub use coalescer::{CommitEvent, LogEntry, RcServe, ServeClient, ServeConfig};
 pub use exec::answer_read_only;
 /// Observability types, re-exported from `rc-obs`: every
-/// [`RcServe::metrics`] snapshot and [`RcServe::flight_dump`] trace is
-/// made of these (see the "Observability" section of the README).
+/// [`ServeClient::metrics`] snapshot and [`ServeClient::flight_dump`]
+/// trace is made of these (see the "Observability" section of the
+/// README).
 pub use rc_obs::{
     CalibrationTable, DispatchMode, DispatchStats, Engine, EpochTrace, ExemplarEntry, HealthView,
     HistogramSummary, MetricValue, MetricsSnapshot, ObsServer, ObsServerConfig, PhaseTotals,
@@ -106,7 +107,7 @@ pub use rc_obs::{
 /// epoch loop (see the "Durability" section of the README).
 pub use rc_store::{RecoveryReport, StoreConfig as Durability, StoreError, SyncPolicy};
 pub use request::{CptResult, Request, Response, ResponseHandle};
-pub use stats::{EpochStats, LatencyHistogram, LatencySummary, ServeStats};
+pub use stats::ServeStats;
 pub use telemetry::{StallReport, TelemetryDump};
 
 #[cfg(test)]
@@ -323,7 +324,15 @@ mod tests {
 
     #[test]
     fn concurrent_clients_coalesce_into_epochs() {
-        let server = RcServe::start(path_forest(64), quick_cfg());
+        // The ring holds every epoch the run can produce (at most one per
+        // request), so the flight dump is the run's complete history.
+        let server = RcServe::start(
+            path_forest(64),
+            ServeConfig {
+                flight_recorder: 1_600,
+                ..quick_cfg()
+            },
+        );
         let threads: Vec<_> = (0..8)
             .map(|t| {
                 let c = server.client();
@@ -349,7 +358,17 @@ mod tests {
         assert_eq!(stats.ops, 8 * 200);
         assert!(stats.epochs < 1_600, "some coalescing happened");
         assert!(stats.latency.count == 1_600 && stats.latency.p50_ns > 0);
-        assert!(!c.epoch_history().is_empty());
+        // The registry-derived totals agree exactly with the flight
+        // recorder's per-epoch traces.
+        let flight = c.flight_dump();
+        let sum = |f: fn(&EpochTrace) -> u32| flight.iter().map(|t| f(t) as u64).sum::<u64>();
+        assert_eq!(stats.epochs, flight.len() as u64);
+        assert_eq!(stats.ops, sum(|t| t.batch));
+        assert_eq!(stats.updates, sum(|t| t.updates));
+        assert_eq!(stats.queries, sum(|t| t.queries));
+        assert_eq!(stats.flushes, sum(|t| t.flushes));
+        let max_batch = flight.iter().map(|t| t.batch).max().unwrap();
+        assert_eq!(stats.max_batch, max_batch as usize);
     }
 
     #[test]

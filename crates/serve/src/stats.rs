@@ -1,61 +1,66 @@
-//! Per-epoch and aggregate serving statistics.
-//!
-//! The latency histogram itself now lives in `rc-obs` (it is shared by
-//! the store and the flight recorder); this module re-exports it under
-//! the historical serve names and keeps the serve-specific stats types.
+//! Aggregate serving statistics, derived from the metrics registry.
 
-/// The shared quarter-octave histogram, re-exported under the name this
-/// crate has always used.
-pub use rc_obs::Histogram as LatencyHistogram;
-/// Percentile snapshot of a [`LatencyHistogram`].
-pub use rc_obs::HistogramSummary as LatencySummary;
+use rc_obs::{HistogramSummary, MetricsSnapshot};
 
-/// Instrumentation of one drained epoch.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct EpochStats {
-    /// Epoch ordinal (1-based).
-    pub epoch: u64,
-    /// Requests drained into this epoch.
-    pub batch: usize,
-    /// Queue depth observed at drain time (before capping).
-    pub queue_depth: usize,
-    /// Update requests (including rejected ones).
-    pub updates: usize,
-    /// Query requests.
-    pub queries: usize,
-    /// Sub-batch flushes forced by in-epoch conflicts (1 = fully
-    /// coalesced update phase).
-    pub flushes: usize,
-    /// Wall time of the update phase (admission + commit + WAL append).
-    pub update_ns: u64,
-    /// Wall time of the query fan-out.
-    pub query_ns: u64,
-    /// Forest version stamp after the epoch committed.
-    pub version_after: u64,
-}
-
-/// Aggregate server statistics.
+/// Aggregate server statistics: a typed view over the `serve_*` series
+/// of a [`MetricsSnapshot`] (see [`ServeStats::from_snapshot`]). The
+/// registry is the only store of these totals; per-epoch detail lives
+/// in the flight recorder.
+///
+/// An epoch whose WAL append failed is counted in every total: the
+/// registry books it, and its requests were answered `Rejected`.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ServeStats {
-    /// Epochs committed.
+    /// Epochs committed (`serve_epochs_total`).
     pub epochs: u64,
-    /// Requests served.
+    /// Requests served (`serve_requests_total`).
     pub ops: u64,
-    /// Update requests served.
+    /// Update requests served (`serve_updates_total`).
     pub updates: u64,
-    /// Query requests served.
+    /// Query requests served (`serve_queries_total`).
     pub queries: u64,
-    /// Total sub-batch flushes across all epochs.
+    /// Total sub-batch flushes across all epochs (`serve_flushes_total`).
     pub flushes: u64,
-    /// Mean epoch batch size.
+    /// Mean epoch batch size (`ops / epochs`).
     pub mean_batch: f64,
-    /// Largest epoch batch.
+    /// Largest epoch batch (`serve_epoch_batch_max`).
     pub max_batch: usize,
-    /// End-to-end request latency (submit → response).
-    pub latency: LatencySummary,
-    /// Request traces captured by the deterministic 1-in-N sampler.
+    /// End-to-end request latency, submit → response
+    /// (`serve_request_latency_ns`).
+    pub latency: HistogramSummary,
+    /// Request traces captured by the deterministic 1-in-N sampler
+    /// (`serve_traces_sampled_total`).
     pub traces_sampled: u64,
     /// Request traces captured because end-to-end latency exceeded the
-    /// slow threshold (independent of sampling).
+    /// slow threshold, independent of sampling
+    /// (`serve_traces_slow_total`).
     pub traces_slow: u64,
+}
+
+impl ServeStats {
+    /// Read the serve series out of `snap`; a missing series reads as
+    /// zero.
+    pub fn from_snapshot(snap: &MetricsSnapshot) -> Self {
+        let counter = |name| snap.counter(name).unwrap_or(0);
+        let epochs = counter("serve_epochs_total");
+        let ops = counter("serve_requests_total");
+        ServeStats {
+            epochs,
+            ops,
+            updates: counter("serve_updates_total"),
+            queries: counter("serve_queries_total"),
+            flushes: counter("serve_flushes_total"),
+            mean_batch: if epochs == 0 {
+                0.0
+            } else {
+                ops as f64 / epochs as f64
+            },
+            max_batch: snap.gauge("serve_epoch_batch_max").unwrap_or(0) as usize,
+            latency: snap
+                .histogram("serve_request_latency_ns")
+                .unwrap_or_default(),
+            traces_sampled: counter("serve_traces_sampled_total"),
+            traces_slow: counter("serve_traces_slow_total"),
+        }
+    }
 }

@@ -54,7 +54,7 @@ impl SpanLayout {
 /// Postmortem frozen by the epoch-stall watchdog: what the watchdog saw,
 /// the flight recorder's epochs at declaration time, and the most recent
 /// captured request trace (slow ring preferred). Retrieved via
-/// [`RcServe::stall_report`](crate::RcServe::stall_report).
+/// [`ServeClient::stall_report`](crate::ServeClient::stall_report).
 #[derive(Clone, Debug)]
 pub struct StallReport {
     /// The watchdog's observation (stuck phase, queue depth, duration).
@@ -67,10 +67,12 @@ pub struct StallReport {
 }
 
 /// On-demand dump of the server's telemetry: the metrics snapshot plus
-/// the flight recorder's retained epoch traces. Returned by
-/// [`Request::DumpTelemetry`](crate::Request::DumpTelemetry) and the
-/// direct [`RcServe::metrics`](crate::RcServe::metrics) /
-/// [`flight_dump`](crate::RcServe::flight_dump) accessors.
+/// the flight recorder's retained epoch traces, answered by
+/// [`Request::DumpTelemetry`](crate::Request::DumpTelemetry) at an epoch
+/// drain boundary, so both halves reflect the same committed prefix.
+/// The same two halves are readable at any time, without that boundary,
+/// through [`ServeClient::metrics`](crate::ServeClient::metrics) and
+/// [`ServeClient::flight_dump`](crate::ServeClient::flight_dump).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TelemetryDump {
     /// Point-in-time value of every registered metric.
@@ -103,6 +105,8 @@ pub(crate) struct ServeTelemetry {
     /// Store metric handles when durable — lets `/traces` append the
     /// WAL append/fsync exemplars.
     store_metrics: OnceLock<StoreMetrics>,
+    /// End-to-end request latency (`serve_request_latency_ns`).
+    pub(crate) latency: Arc<Histogram>,
     /// Epochs completed by the worker thread (monotone heartbeat).
     worker_heartbeat: Arc<Gauge>,
     stalls_total: Arc<Counter>,
@@ -115,6 +119,8 @@ pub(crate) struct ServeTelemetry {
     queries_total: Arc<Counter>,
     flushes_total: Arc<Counter>,
     queue_depth: Arc<Gauge>,
+    /// Largest epoch batch so far; the worker is its only writer.
+    epoch_batch_max: Arc<Gauge>,
     drain_ns: Arc<Histogram>,
     admit_ns: Arc<Histogram>,
     commit_ns: Arc<Histogram>,
@@ -133,12 +139,9 @@ pub(crate) struct ServeTelemetry {
 }
 
 impl ServeTelemetry {
-    /// Fresh registry + flight recorder + trace sink; `latency` is the
-    /// existing end-to-end request histogram, attached under its metric
-    /// name so it shows up in every snapshot.
-    pub(crate) fn new(cfg: &ServeConfig, latency: Arc<Histogram>) -> Self {
+    /// Fresh registry + flight recorder + trace sink.
+    pub(crate) fn new(cfg: &ServeConfig) -> Self {
         let registry = MetricsRegistry::new();
-        registry.attach_histogram("serve_request_latency_ns", latency);
         ServeTelemetry {
             flight: FlightRecorder::new(cfg.flight_recorder),
             failure: Mutex::new(None),
@@ -148,6 +151,7 @@ impl ServeTelemetry {
             stall: Mutex::new(None),
             worker_phase: AtomicUsize::new(PHASE_IDLE),
             store_metrics: OnceLock::new(),
+            latency: registry.histogram("serve_request_latency_ns"),
             worker_heartbeat: registry.gauge("serve_worker_heartbeat"),
             stalls_total: registry.counter("serve_stalls_total"),
             traces_sampled_total: registry.counter("serve_traces_sampled_total"),
@@ -159,6 +163,7 @@ impl ServeTelemetry {
             queries_total: registry.counter("serve_queries_total"),
             flushes_total: registry.counter("serve_flushes_total"),
             queue_depth: registry.gauge("serve_queue_depth"),
+            epoch_batch_max: registry.gauge("serve_epoch_batch_max"),
             drain_ns: registry.histogram("serve_phase_drain_ns"),
             admit_ns: registry.histogram("serve_phase_admit_ns"),
             commit_ns: registry.histogram("serve_phase_commit_ns"),
@@ -340,11 +345,6 @@ impl ServeTelemetry {
         self.stall.lock().unwrap_or_else(|e| e.into_inner()).clone()
     }
 
-    /// Sampled/slow capture totals since startup.
-    pub(crate) fn capture_totals(&self) -> (u64, u64) {
-        (self.sink.sampled_total(), self.sink.slow_total())
-    }
-
     /// Publish one epoch trace: counters, phase histograms, and the
     /// flight-recorder ring.
     pub(crate) fn record_trace(&self, t: EpochTrace) {
@@ -353,6 +353,10 @@ impl ServeTelemetry {
             self.failed_epochs_total.inc();
         }
         self.requests_total.add(t.batch as u64);
+        // Read-then-set is race-free: the worker is the only writer.
+        if i64::from(t.batch) > self.epoch_batch_max.get() {
+            self.epoch_batch_max.set(i64::from(t.batch));
+        }
         self.updates_total.add(t.updates as u64);
         self.queries_total.add(t.queries as u64);
         self.flushes_total.add(t.flushes as u64);
@@ -445,7 +449,7 @@ mod tests {
             flight_recorder,
             ..ServeConfig::default()
         };
-        ServeTelemetry::new(&cfg, Arc::new(Histogram::default()))
+        ServeTelemetry::new(&cfg)
     }
 
     #[test]

@@ -479,10 +479,7 @@ fn watchdog_flips_ready_on_injected_stall_and_recovers() {
     let view = client.health_view();
     assert!(view.healthy && view.ready, "healthy again after recovery");
     assert_eq!(view.stalls, 1, "exactly one stall episode declared");
-    assert_eq!(
-        client.metrics_snapshot().counter("serve_stalls_total"),
-        Some(1)
-    );
+    assert_eq!(client.metrics().counter("serve_stalls_total"), Some(1));
     drop(obs);
     server.shutdown();
 }
@@ -603,10 +600,7 @@ fn watchdog_rearms_across_repeated_wedge_episodes() {
     let view = client.health_view();
     assert!(view.healthy && view.ready);
     assert_eq!(view.stalls, 2, "stall count is strictly monotone: 1 then 2");
-    assert_eq!(
-        client.metrics_snapshot().counter("serve_stalls_total"),
-        Some(2)
-    );
+    assert_eq!(client.metrics().counter("serve_stalls_total"), Some(2));
     drop(obs);
     server.shutdown();
 }

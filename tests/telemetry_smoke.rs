@@ -254,7 +254,7 @@ fn wal_failure_freezes_postmortem_flight_dump() {
         "the successful epochs' traces are retained for context"
     );
     // The failure is also visible in the metrics.
-    let snap = client.metrics_snapshot();
+    let snap = client.metrics();
     assert_eq!(snap.counter("serve_failed_epochs_total"), Some(1));
     let _ = std::fs::remove_dir_all(&dir);
 }
