@@ -12,6 +12,11 @@
 //!   walks its own ancestor chains);
 //! * `lct_sequential` — k single operations on the splay link-cut tree.
 //!
+//! All seven query families are swept (nearest-marked over one marked
+//! set shared by both backends), plus cut+relink updates. The serve
+//! tier's `rc_serve::BATCHED_FROM_K` size rule is read off the
+//! default-scale run of this sweep.
+//!
 //! Writes `BENCH_crossover.json` (override with `RC_CROSSOVER_OUT`);
 //! scale via `RC_BENCH_SCALE` (`tiny` for the CI smoke).
 
@@ -89,9 +94,24 @@ fn main() {
             }
         })
         .collect();
+    let singles: Vec<u32> = (0..max_k).map(|_| rnd(&mut rng)).collect();
+    // One marked set, identical on both backends, for nearest_marked.
+    for _ in 0..64 {
+        let m = rnd(&mut rng);
+        DynamicForest::set_mark(&mut rc, m, true).unwrap();
+        lct.set_mark(m, true).unwrap();
+    }
 
     // ---- query families ----
-    for family in ["connected", "path_sum", "bottleneck", "lca", "subtree_sum"] {
+    for family in [
+        "connected",
+        "representatives",
+        "path_sum",
+        "bottleneck",
+        "lca",
+        "subtree_sum",
+        "nearest_marked",
+    ] {
         let t = Table::new(
             &format!("{family} (n = {n})"),
             &[
@@ -120,6 +140,46 @@ fn main() {
                             _ => measure(k, || {
                                 for &(u, v) in q {
                                     std::hint::black_box(lct.connected(u, v));
+                                }
+                            }),
+                        }
+                    }
+                    "representatives" => {
+                        let q = &singles[..k];
+                        match backend {
+                            "rc_batched" => measure(k, || {
+                                std::hint::black_box(DynamicForest::batch_representatives(
+                                    &mut rc, q,
+                                ));
+                            }),
+                            "rc_independent" => measure(k, || {
+                                for &v in q {
+                                    std::hint::black_box(DynamicForest::representative(&mut rc, v));
+                                }
+                            }),
+                            _ => measure(k, || {
+                                for &v in q {
+                                    std::hint::black_box(lct.representative(v));
+                                }
+                            }),
+                        }
+                    }
+                    "nearest_marked" => {
+                        let q = &singles[..k];
+                        match backend {
+                            "rc_batched" => measure(k, || {
+                                std::hint::black_box(DynamicForest::batch_nearest_marked(
+                                    &mut rc, q,
+                                ));
+                            }),
+                            "rc_independent" => measure(k, || {
+                                for &v in q {
+                                    std::hint::black_box(DynamicForest::nearest_marked(&mut rc, v));
+                                }
+                            }),
+                            _ => measure(k, || {
+                                for &v in q {
+                                    std::hint::black_box(lct.nearest_marked(v));
                                 }
                             }),
                         }

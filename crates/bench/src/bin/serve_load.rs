@@ -1,7 +1,8 @@
 //! `rc-serve` load driver: coalesced vs forced size-1 epochs (plus the
 //! coalesced policy over a WAL) across a thread sweep (closed loop), an
 //! offered-load sweep (open loop) tracing the latency-vs-load curve, a
-//! tracing-overhead gate and an adaptive-dispatch pair, writing
+//! tracing-overhead gate and a small-k run under the dispatch size rule,
+//! writing
 //! `BENCH_serve.json` so the serving-throughput trajectory is tracked
 //! across PRs.
 //!
@@ -13,7 +14,7 @@ use rc_bench::serve_driver::{
 };
 use rc_bench::{scale, Table};
 use rc_gen::Arrival;
-use rc_serve::{DispatchMode, ServeConfig, SyncPolicy};
+use rc_serve::{ServeConfig, SyncPolicy};
 use std::fmt::Write as _;
 
 struct Row {
@@ -297,83 +298,44 @@ fn main() {
         );
     }
 
-    // Adaptive dispatch on a small-k-heavy mix: a tiny per-thread window
+    // The size rule on a small-k-heavy mix: a tiny per-thread window
     // keeps each epoch's per-family batch down to a handful of queries,
-    // where the batched engines' parallel setup dominates and the learned
-    // cost model should route to the cheap single-query engines. The same
-    // tape runs once with the model pinned to always-batched and once
-    // adaptive (20% exploration so the table fills fast) — the ratio is
-    // the payoff the profiler buys at small k.
+    // below most `BATCHED_FROM_K` entries, so most fan-outs run as
+    // independent single-query walks.
     let small_window = 8;
-    let small_k_stream = default_stream(n, 4242);
-    let small_k_run = |mode: DispatchMode, scratch: &mut Vec<_>| {
-        run_load_reusing(
-            &LoadSpec {
-                threads: top,
-                ops_per_thread,
-                window: small_window,
-                open_loop: false,
-                stream: small_k_stream.clone(),
-                server: ServeConfig {
-                    dispatch_mode: mode,
-                    explore_frac: 0.2,
-                    ..coalesced_policy(top, small_window)
-                },
-                durability: None,
-                obs_scrape: false,
-            },
-            scratch,
-        )
-    };
-    let batched_small_k = small_k_run(DispatchMode::AlwaysBatched, &mut scratch);
-    let adaptive_small_k = small_k_run(DispatchMode::Adaptive, &mut scratch);
-    let adaptive_ratio = adaptive_small_k.ops_per_sec / batched_small_k.ops_per_sec.max(1e-9);
-    let non_batched_decisions: u64 = (0..rc_serve::FAMILY_NAMES.len())
-        .map(|f| {
-            adaptive_small_k.dispatch.decisions[f][1] + adaptive_small_k.dispatch.decisions[f][2]
-        })
-        .sum();
-    let table_learned =
-        adaptive_small_k.cost_model_json.contains("\"ns_per_op\":") && non_batched_decisions > 0;
-    println!(
-        "adaptive vs always-batched on small-k mix (window {small_window}): {adaptive_ratio:.2}x \
-         ({:.0} ops/s adaptive vs {:.0} batched, {} non-batched decisions, {} explored)",
-        adaptive_small_k.ops_per_sec,
-        batched_small_k.ops_per_sec,
-        non_batched_decisions,
-        adaptive_small_k.dispatch.explored,
+    let small_k = run_load_reusing(
+        &LoadSpec {
+            threads: top,
+            ops_per_thread,
+            window: small_window,
+            open_loop: false,
+            stream: default_stream(n, 4242),
+            server: coalesced_policy(top, small_window),
+            durability: None,
+            obs_scrape: false,
+        },
+        &mut scratch,
     );
-    // Debug builds are too noisy for a throughput bound; CI's release run
-    // enforces both halves of the acceptance criterion: the model learned
-    // a real table (populated non-batched cells via exploration) and the
-    // adaptive run is at worst within noise of always-batched (on boxes
-    // with real parallelism it should win outright).
-    if cfg!(not(debug_assertions)) {
-        assert!(
-            table_learned,
-            "adaptive run never learned: no populated table cells or no \
-             non-batched decisions ({})",
-            adaptive_small_k.cost_model_json
-        );
-        assert!(
-            adaptive_ratio >= 0.8,
-            "adaptive dispatch lost more than 20% to always-batched on the \
-             small-k mix: {adaptive_ratio:.3}"
-        );
-    }
-    for (mode, r) in [
-        ("always_batched", &batched_small_k),
-        ("adaptive", &adaptive_small_k),
-    ] {
-        rows.push(Row {
-            mode,
-            loop_kind: "closed",
-            durability: "none",
-            offered: 0.0,
-            r: r.clone(),
-        });
-        print_row(&t, rows.last().unwrap());
-    }
+    let small_k_fan_outs = small_k.fan_outs();
+    let independent_fan_outs: u64 = small_k_fan_outs.iter().map(|f| f[1]).sum();
+    let total_fan_outs: u64 = small_k_fan_outs.iter().flatten().sum();
+    println!(
+        "small-k mix (window {small_window}): {:.0} ops/s, {independent_fan_outs} of \
+         {total_fan_outs} fan-outs independent",
+        small_k.ops_per_sec,
+    );
+    assert!(
+        independent_fan_outs > 0,
+        "no small-k fan-out ran independent: {small_k_fan_outs:?}"
+    );
+    rows.push(Row {
+        mode: "small_k",
+        loop_kind: "closed",
+        durability: "none",
+        offered: 0.0,
+        r: small_k.clone(),
+    });
+    print_row(&t, rows.last().unwrap());
 
     // Acceptance metrics: coalesced vs size-1 and the WAL tax, at the top
     // thread count.
@@ -502,25 +464,14 @@ fn main() {
     );
     let _ = writeln!(
         json,
-        "  \"adaptive_vs_batched_small_k_at_{top}_threads\": {adaptive_ratio:.3},"
+        "  \"small_k_ops_per_sec_at_{top}_threads\": {:.1},",
+        small_k.ops_per_sec
     );
-    // Adaptive-dispatch telemetry for the small-k run: where each family's
-    // queries were routed (decision fractions per engine) and the learned
-    // cost model itself — per-octave ns/op table plus the fitted
-    // per-family crossover points.
+    // Where the small-k run's fan-outs went: per family, the fraction
+    // that ran on each engine.
     let _ = writeln!(json, "  \"dispatch\": {{");
     let _ = writeln!(json, "    \"small_k_window\": {small_window},");
-    let _ = writeln!(json, "    \"explore_frac\": 0.2,");
-    let _ = writeln!(
-        json,
-        "    \"decisions\": {},",
-        adaptive_small_k.dispatch.total
-    );
-    let _ = writeln!(
-        json,
-        "    \"explored\": {},",
-        adaptive_small_k.dispatch.explored
-    );
+    let _ = writeln!(json, "    \"fan_outs\": {total_fan_outs},");
     let _ = writeln!(json, "    \"engine_fractions\": {{");
     for (f, name) in rc_serve::FAMILY_NAMES.iter().enumerate() {
         let comma = if f + 1 == rc_serve::FAMILY_NAMES.len() {
@@ -528,30 +479,16 @@ fn main() {
         } else {
             ","
         };
-        let d = &adaptive_small_k.dispatch.decisions[f];
-        let total = (d[0] + d[1] + d[2]) as f64;
-        let frac = |c: u64| {
-            if total > 0.0 {
-                c as f64 / total
-            } else {
-                0.0
-            }
-        };
+        let [batched, independent] = small_k_fan_outs[f];
+        let total = (batched + independent).max(1) as f64;
         let _ = writeln!(
             json,
-            "      \"{name}\": {{\"batched\": {:.3}, \"independent\": {:.3}, \
-             \"sequential\": {:.3}}}{comma}",
-            frac(d[0]),
-            frac(d[1]),
-            frac(d[2]),
+            "      \"{name}\": {{\"batched\": {:.3}, \"independent\": {:.3}}}{comma}",
+            batched as f64 / total,
+            independent as f64 / total,
         );
     }
-    let _ = writeln!(json, "    }},");
-    let _ = writeln!(
-        json,
-        "    \"cost_model\": {}",
-        adaptive_small_k.cost_model_json
-    );
+    let _ = writeln!(json, "    }}");
     let _ = writeln!(json, "  }},");
     // Full telemetry for the coalesced closed-loop run at the top thread
     // count: the per-phase breakdown of where epoch wall time went, plus

@@ -5,8 +5,8 @@
 
 use rc_gen::{Arrival, OpMix, RequestStream, RequestStreamConfig};
 use rc_serve::{
-    DispatchStats, Durability, EpochTrace, MetricsSnapshot, ObsServerConfig, PhaseTotals, RcServe,
-    Request, Response, ServeConfig, ServeForest, ServeStats, SyncPolicy,
+    Durability, EpochTrace, MetricsSnapshot, ObsServerConfig, PhaseTotals, RcServe, Request,
+    Response, ServeConfig, ServeForest, ServeStats, SyncPolicy, ENGINE_NAMES, FAMILY_NAMES,
 };
 use std::io::{Read as _, Write as _};
 use std::time::{Duration, Instant};
@@ -62,12 +62,24 @@ pub struct LoadResult {
     /// [`PhaseTotals::coverage`]: fraction of recorded epoch wall time
     /// the phase spans account for.
     pub phase_coverage: f64,
-    /// Cumulative adaptive-dispatch counters: per-(family, engine)
-    /// decisions and query counts plus the explore total.
-    pub dispatch: DispatchStats,
-    /// The learned cost model (per-octave table + crossover estimates)
-    /// as the `/costmodel` JSON body, captured after shutdown.
-    pub cost_model_json: String,
+}
+
+impl LoadResult {
+    /// Query fan-outs per (family, engine), indexed like
+    /// [`FAMILY_NAMES`] and [`ENGINE_NAMES`]: the registry's
+    /// `serve_dispatch_total{family,engine}` counters.
+    pub fn fan_outs(&self) -> [[u64; ENGINE_NAMES.len()]; FAMILY_NAMES.len()] {
+        std::array::from_fn(|f| {
+            std::array::from_fn(|e| {
+                self.snapshot
+                    .counter(&format!(
+                        "serve_dispatch_total{{family=\"{}\",engine=\"{}\"}}",
+                        FAMILY_NAMES[f], ENGINE_NAMES[e]
+                    ))
+                    .unwrap_or(0)
+            })
+        })
+    }
 }
 
 /// The default serving workload: a query-heavy mix over a Zipf-skewed
@@ -263,8 +275,6 @@ pub fn run_load_reusing(spec: &LoadSpec, scratch: &mut Vec<EpochTrace>) -> LoadR
     // shutdown — by which point every epoch's trace has been published.
     let snapshot = audit.metrics();
     let stats = ServeStats::from_snapshot(&snapshot);
-    let dispatch = audit.dispatch_stats();
-    let cost_model_json = audit.cost_model_json();
     audit.flight_dump_into(scratch);
     let phase = PhaseTotals::from_traces(scratch);
     let phase_coverage = phase.coverage();
@@ -300,7 +310,5 @@ pub fn run_load_reusing(spec: &LoadSpec, scratch: &mut Vec<EpochTrace>) -> LoadR
         snapshot,
         phase,
         phase_coverage,
-        dispatch,
-        cost_model_json,
     }
 }

@@ -397,7 +397,7 @@ impl<'f, A: ClusterAggregate> MarkedSweep<'f, A> {
 
     /// Bottom-up visitor pass: every slot's value is computed from
     /// strictly-earlier-round slots (its children), leaf rounds first.
-    /// Sequential — bottom-up consumers (compressed path trees) thread
+    /// Runs serially — bottom-up consumers (compressed path trees) thread
     /// mutable state through the visitor.
     pub fn bottom_up<T, F>(&self, init: T, mut visit: F) -> Vec<T>
     where

@@ -11,20 +11,15 @@
 //!   Prometheus-text / JSON exports.
 //! - [`FlightRecorder`] — a fixed-capacity lock-free ring of
 //!   [`EpochTrace`] records attributing each epoch's wall time to its
-//!   phases (drain, admission, commit, WAL, query fan-out per family,
-//!   respond), dumpable on demand and on
-//!   worker failure.
+//!   phases (drain, admission, commit, WAL, query fan-out per family
+//!   and [`Engine`], respond), dumpable on demand and on worker failure.
 //! - [`RequestTrace`] / [`TraceSink`] — per-request causal span traces
 //!   with deterministic 1-in-N sampling ([`trace_sampled`]), an
 //!   always-capture slow-request ring, and latency [`Exemplars`]
 //!   linking histogram buckets back to trace ids.
-//! - [`CostModel`] — an online per-(family, engine, k-octave) query
-//!   cost profiler with epsilon-greedy exploration, a per-family
-//!   crossover estimator, and a CRC-framed [`CalibrationTable`] for
-//!   warm restarts; drives the serve tier's adaptive query dispatch.
 //! - [`ObsServer`] — an opt-in, zero-dep blocking TCP endpoint serving
 //!   `/metrics`, `/metrics.json`, `/health`, `/ready`, `/flight`,
-//!   `/traces`, and `/costmodel` over HTTP/1.0, plus a binary
+//!   and `/traces` over HTTP/1.0, plus a binary
 //!   `DUMP_TELEMETRY` frame protocol byte-compatible with the rc-store
 //!   WAL codec.
 //! - [`Watchdog`] — an epoch-stall detector that flips a shared
@@ -35,7 +30,6 @@
 //! paths; see the README "Observability" section for the metric-name
 //! table and measured overhead.
 
-mod costmodel;
 mod histogram;
 mod registry;
 mod reqtrace;
@@ -43,10 +37,6 @@ mod serve_http;
 mod trace;
 mod watchdog;
 
-pub use costmodel::{
-    k_octave, CalibrationTable, CostModel, Decision, DispatchMode, DispatchStats, Engine,
-    ENGINE_NAMES, NUM_ENGINES, NUM_FAMILIES, NUM_OCTAVES,
-};
 pub use histogram::{Histogram, HistogramSummary};
 pub use registry::{Counter, Gauge, MetricValue, MetricsRegistry, MetricsSnapshot};
 pub use reqtrace::{
@@ -56,5 +46,5 @@ pub use reqtrace::{
 pub use serve_http::{
     epoch_trace_json, frame, HealthView, ObsServer, ObsServerConfig, ObsSource, DUMP_TELEMETRY_CMD,
 };
-pub use trace::{EpochTrace, FlightRecorder, PhaseTotals, FAMILY_NAMES};
+pub use trace::{Engine, EpochTrace, FlightRecorder, PhaseTotals, ENGINE_NAMES, FAMILY_NAMES};
 pub use watchdog::{HealthState, Probe, StallInfo, Watchdog, WatchdogConfig};

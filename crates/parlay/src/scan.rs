@@ -33,7 +33,7 @@ where
         .par_chunks(block)
         .map(|chunk| chunk.iter().fold(id, |a, &b| op(a, b)))
         .collect();
-    // Sequential scan over block sums.
+    // Serial scan over block sums.
     let total = scan_exclusive_seq(&mut sums, id, &op);
     // Pass 2: per-block exclusive scans with offsets.
     let ps = ParSlice::new(xs);

@@ -1,51 +1,78 @@
-//! Shared read-only query execution with adaptive per-family dispatch.
+//! Shared read-only query execution under a fixed size rule.
 //!
 //! The coalescer's query phase runs through this module on the epoch
 //! worker, as do [`answer_read_only`] callers such as replication
-//! followers. Everything here takes the forest by shared reference: the
-//! RC forest's batch query entry points are `&self` (scratch comes from
-//! an internal pool), so the independent engine can fan single-query
-//! walks out across the pool.
+//! followers; both follow the same rule. Everything here takes the
+//! forest by shared reference: the RC forest's batch query entry points
+//! are `&self` (scratch comes from an internal pool), so single-query
+//! walks can fan out across the pool.
 //!
-//! Each family's fan-out can run on one of three engines over the same
-//! forest state (the paper's fig. 11 regimes — see
-//! [`rc_obs::CostModel`]):
+//! Each family's fan-out runs on one of two engines over the same
+//! forest state:
 //!
-//! - **batched** — one batch call per family (shared marked-subtree
-//!   sweep; wins 2–8x at large k),
-//! - **independent** — one parallel task per query, each an independent
-//!   `&self` walk (wins at small k, where the sweep setup dominates),
-//! - **sequential** — a plain loop of single-query walks (wins at tiny
-//!   k, where even task spawning costs more than the queries).
+//! - **batched** — one batch call per family (the shared marked-subtree
+//!   sweep, `O(k log(1 + n/k))` work),
+//! - **independent** — one `O(log n)` single-query walk per query through
+//!   `parallel_for` (a plain loop up to `rc_parlay::SEQ_THRESHOLD`
+//!   queries, parallel above).
 //!
-//! The engines are answer-invariant by construction: the single-query
-//! entry points share the batch paths' out-of-range/`None` contract and
-//! exact aggregate semantics, so a [`Dispatcher`] may pick any engine
-//! per family per epoch without changing any response (the
-//! serializability oracle replays under every mode).
+//! The paper's fig. 11 shows that batching beats independent walks only
+//! above a per-family batch size, so the engine is a pure function of
+//! `(family, k)`: batched when `k >= BATCHED_FROM_K[family]`, independent
+//! otherwise. CPT extraction has no single-query form and stays one
+//! computation per request.
+//!
+//! The engines are answer-invariant: the single-query entry points share
+//! the batch paths' out-of-range/`None` contract and exact aggregate
+//! semantics (the unit test below compares them family by family).
 
 use crate::agg::ServeForest;
 use crate::request::{CptResult, Request, Response};
 use rc_core::NO_VERTEX;
-use rc_obs::{CostModel, Decision, DispatchMode, Engine};
+use rc_obs::Engine;
 use rc_parlay::parallel_for;
 use rc_parlay::slice::ParSlice;
-use std::sync::Arc;
 use std::time::Instant;
 
-/// Per-family wall time, query counts, and dispatch decisions of one
-/// query fan-out, indexed like [`rc_obs::FAMILY_NAMES`] (conn, repr,
-/// path, subtree, lca, bottleneck, near, cpt).
+/// The size rule: a query family's fan-out of `k` queries runs batched
+/// when `k >= BATCHED_FROM_K[family]`, independent otherwise. Indexed
+/// like [`rc_obs::FAMILY_NAMES`] without `cpt` (conn, repr, path,
+/// subtree, lca, bottleneck, near).
+///
+/// Each entry is the smallest k of the default-scale (n = 200 000) grid
+/// in the committed `BENCH_crossover.json` (written by the
+/// `fig11b_backends` binary) at which `rc_batched` took no longer than
+/// `rc_independent`; `u32::MAX` would mean batched never won on the
+/// grid. When the batched engine gets cheaper, re-run that sweep and
+/// update these numbers.
+pub const BATCHED_FROM_K: [u32; 7] = [
+    10_000,  // conn
+    10_000,  // repr
+    100_000, // path
+    10,      // subtree
+    100_000, // lca
+    1_000,   // bottleneck
+    10,      // near
+];
+
+/// The engine [`BATCHED_FROM_K`] names for `k` queries of `family`.
+fn engine_for(family: usize, k: u32) -> Engine {
+    if k >= BATCHED_FROM_K[family] {
+        Engine::Batched
+    } else {
+        Engine::Independent
+    }
+}
+
+/// Per-family wall time, query counts, and engines of one query
+/// fan-out, indexed like [`rc_obs::FAMILY_NAMES`] (conn, repr, path,
+/// subtree, lca, bottleneck, near, cpt).
 #[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct FamilyTimings {
     pub(crate) ns: [u64; 8],
     pub(crate) counts: [u32; 8],
     /// 0 = family did not run, else `1 + Engine::index()`.
     pub(crate) engine: [u8; 8],
-    /// Cost-model prediction for the chosen engine, ns (0 = none).
-    pub(crate) predicted_ns: [u64; 8],
-    /// Bitmask of families whose engine choice was an exploration.
-    pub(crate) explored: u8,
 }
 
 /// Span names for the per-family query spans on request traces, indexed
@@ -77,57 +104,19 @@ pub(crate) fn family_index(req: &Request) -> Option<usize> {
     }
 }
 
-/// The per-epoch engine picker: a shared [`CostModel`] plus the
-/// configured [`DispatchMode`], consulted by the epoch worker;
-/// observations feed the model in every mode, so even `AlwaysBatched` servers learn a table
-/// they can export or persist.
-#[derive(Clone, Debug)]
-pub(crate) struct Dispatcher {
-    pub(crate) model: Arc<CostModel>,
-    pub(crate) mode: DispatchMode,
-}
-
-impl Dispatcher {
-    pub(crate) fn new(model: Arc<CostModel>, mode: DispatchMode) -> Self {
-        Dispatcher { model, mode }
-    }
-
-    /// Pick the engine for `k` queries of `family` and count the
-    /// dispatch.
-    fn decide(&self, family: usize, k: u32) -> Decision {
-        let forced = match self.mode {
-            DispatchMode::Adaptive => None,
-            DispatchMode::AlwaysBatched => Some(Engine::Batched),
-            DispatchMode::AlwaysIndependent => Some(Engine::Independent),
-            DispatchMode::AlwaysSequential => Some(Engine::Sequential),
-        };
-        let d = match forced {
-            None => self.model.choose(family, k),
-            Some(engine) => Decision {
-                engine,
-                predicted_ns: self.model.predict(family, engine, k).unwrap_or(0),
-                explored: false,
-            },
-        };
-        self.model.note_dispatch(family, d.engine, k, d.explored);
-        d
-    }
-}
-
 /// Public read-only query fan-out over a caller-owned forest: the same
-/// one-batch-call-per-family execution the coalescer uses, for callers
-/// that hold a forest outside any server — replication followers answer
+/// per-family execution the coalescer uses, for callers that hold a
+/// forest outside any server — replication followers answer
 /// staleness-bounded reads against their replica through this. Update
 /// requests answer [`Response::Rejected`]: this path is read-only by
 /// construction.
 pub fn answer_read_only(forest: &ServeForest, requests: &[Request]) -> Vec<Response> {
     let refs: Vec<&Request> = requests.iter().collect();
-    answer_requests_timed(forest, &refs, None).0
+    answer_requests_timed(forest, &refs).0
 }
 
-/// Run one family's fan-out on the engine the dispatcher picks (batched
-/// when there is no dispatcher), record its timing + decision in `fam`,
-/// feed the observation back to the model, and scatter the answers into
+/// Run one family's fan-out on the engine `pick` names for its count,
+/// record its timing and engine in `fam`, and scatter the answers into
 /// their request slots.
 #[allow(clippy::too_many_arguments)]
 fn run_family<A: Sync>(
@@ -136,7 +125,7 @@ fn run_family<A: Sync>(
     family: usize,
     args: &[A],
     idxs: &[usize],
-    dispatch: Option<&Dispatcher>,
+    pick: fn(usize, u32) -> Engine,
     batch: impl FnOnce(&[A]) -> Vec<Response>,
     single: impl Fn(&A) -> Response + Sync,
 ) {
@@ -144,14 +133,15 @@ fn run_family<A: Sync>(
         return;
     }
     let k = args.len() as u32;
-    let decision = dispatch.map(|d| d.decide(family, k));
-    let engine = decision.map_or(Engine::Batched, |d| d.engine);
+    let engine = pick(family, k);
     let t = Instant::now();
     let answers: Vec<Response> = match engine {
         Engine::Batched => batch(args),
         Engine::Independent => {
             let mut out: Vec<Option<Response>> = vec![None; args.len()];
             let po = ParSlice::new(&mut out);
+            // SAFETY: `parallel_for` hands each index `j` to exactly one
+            // task, so no two tasks touch the same slot.
             parallel_for(args.len(), |j| unsafe {
                 po.write(j, Some(single(&args[j])));
             });
@@ -159,35 +149,32 @@ fn run_family<A: Sync>(
                 .map(|r| r.expect("independent slot filled"))
                 .collect()
         }
-        Engine::Sequential => args.iter().map(&single).collect(),
     };
-    let ns = t.elapsed().as_nanos() as u64;
-    fam.ns[family] = ns;
+    fam.ns[family] = t.elapsed().as_nanos() as u64;
     fam.counts[family] = k;
     fam.engine[family] = 1 + engine.index() as u8;
-    if let Some(d) = decision {
-        fam.predicted_ns[family] = d.predicted_ns;
-        if d.explored {
-            fam.explored |= 1 << family;
-        }
-    }
-    if let Some(d) = dispatch {
-        d.model.observe(family, engine, k, ns);
-    }
     for (ans, &i) in answers.into_iter().zip(idxs) {
         responses[i] = Some(ans);
     }
 }
 
-/// Answer `requests` against `forest`, grouping queries by family, and
-/// report per-family timings + dispatch decisions for the flight
-/// recorder. With a [`Dispatcher`], each family's fan-out routes to the
-/// engine the cost model picks; without one, every family runs batched
-/// ([`answer_read_only`]). Updates answer [`Response::Rejected`].
+/// Answer `requests` against `forest`, grouping queries by family and
+/// running each family on the engine [`BATCHED_FROM_K`] names for its
+/// count; report per-family timings and engines for the flight recorder.
+/// Updates answer [`Response::Rejected`].
 pub(crate) fn answer_requests_timed(
     forest: &ServeForest,
     requests: &[&Request],
-    dispatch: Option<&Dispatcher>,
+) -> (Vec<Response>, FamilyTimings) {
+    answer_with(forest, requests, engine_for)
+}
+
+/// [`answer_requests_timed`] with the engine picked by `pick` (the unit
+/// tests pin each engine in turn).
+fn answer_with(
+    forest: &ServeForest,
+    requests: &[&Request],
+    pick: fn(usize, u32) -> Engine,
 ) -> (Vec<Response>, FamilyTimings) {
     let mut fam = FamilyTimings::default();
     let mut responses: Vec<Option<Response>> = vec![None; requests.len()];
@@ -253,7 +240,7 @@ pub(crate) fn answer_requests_timed(
         0,
         &conn.0,
         &conn.1,
-        dispatch,
+        pick,
         |args| {
             forest
                 .batch_connected(args)
@@ -269,7 +256,7 @@ pub(crate) fn answer_requests_timed(
         1,
         &repr.0,
         &repr.1,
-        dispatch,
+        pick,
         |args| {
             forest
                 .batch_find_representatives(args)
@@ -285,7 +272,7 @@ pub(crate) fn answer_requests_timed(
         2,
         &path.0,
         &path.1,
-        dispatch,
+        pick,
         |args| {
             forest
                 .batch_path_aggregate(args)
@@ -301,7 +288,7 @@ pub(crate) fn answer_requests_timed(
         3,
         &subtree.0,
         &subtree.1,
-        dispatch,
+        pick,
         |args| {
             forest
                 .batch_subtree_aggregate(args)
@@ -317,7 +304,7 @@ pub(crate) fn answer_requests_timed(
         4,
         &lca.0,
         &lca.1,
-        dispatch,
+        pick,
         |args| {
             forest
                 .batch_lca(args)
@@ -333,7 +320,7 @@ pub(crate) fn answer_requests_timed(
         5,
         &bottleneck.0,
         &bottleneck.1,
-        dispatch,
+        pick,
         |args| {
             forest
                 .batch_path_extrema(args)
@@ -352,7 +339,7 @@ pub(crate) fn answer_requests_timed(
         6,
         &near.0,
         &near.1,
-        dispatch,
+        pick,
         |args| {
             forest
                 .batch_nearest_marked(args)
@@ -370,4 +357,107 @@ pub(crate) fn answer_requests_timed(
             .collect(),
         fam,
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::agg::ServeVertexWeight;
+    use rc_core::BuildOptions;
+    use rc_gen::{ForestGenConfig, RequestStream, RequestStreamConfig};
+    use rc_parlay::rng::SplitMix64;
+
+    #[test]
+    fn size_rule_switches_at_the_table_entry() {
+        for (f, &from) in BATCHED_FROM_K.iter().enumerate() {
+            assert_eq!(engine_for(f, from), Engine::Batched, "family {f}");
+            assert_eq!(engine_for(f, u32::MAX), Engine::Batched, "family {f}");
+            assert_eq!(engine_for(f, from - 1), Engine::Independent, "family {f}");
+            assert_eq!(engine_for(f, 1), Engine::Independent, "family {f}");
+        }
+    }
+
+    #[test]
+    fn both_engines_answer_every_family_identically() {
+        let n = 3_000u32;
+        let edges = RequestStream::new(RequestStreamConfig {
+            forest: ForestGenConfig {
+                n: n as usize,
+                seed: 0xE4EC,
+                max_weight: 64,
+                ..Default::default()
+            },
+            ..Default::default()
+        })
+        .initial_edges();
+        let mut rng = SplitMix64::new(0x5EED);
+        let weights: Vec<ServeVertexWeight> = (0..n)
+            .map(|_| ServeVertexWeight {
+                weight: rng.next_below(100),
+                marked: rng.next_below(40) == 0,
+            })
+            .collect();
+        let forest =
+            ServeForest::build(n as usize, weights, &edges, BuildOptions::default()).unwrap();
+
+        // 1 in 20 vertices is out of range; 1 in 10 second endpoints
+        // repeats the first (u == v).
+        let vert = |rng: &mut SplitMix64| -> u32 {
+            if rng.next_below(20) == 0 {
+                n + rng.next_below(5) as u32
+            } else {
+                rng.next_below(n as u64) as u32
+            }
+        };
+        let other = |rng: &mut SplitMix64, u: u32| -> u32 {
+            if rng.next_below(10) == 0 {
+                u
+            } else {
+                vert(rng)
+            }
+        };
+        // Above SEQ_THRESHOLD, so the independent engine runs parallel.
+        let k = 2_100;
+        let mut reqs: Vec<Request> = Vec::new();
+        for _ in 0..k {
+            let u = vert(&mut rng);
+            let v = other(&mut rng, u);
+            let r = other(&mut rng, v);
+            let (a, b, _) = edges[rng.next_below(edges.len() as u64) as usize];
+            // Adjacent parents in both orientations, v == parent, and
+            // non-adjacent or out-of-range parents.
+            let (sv, sp) = match rng.next_below(4) {
+                0 => (a, b),
+                1 => (b, a),
+                2 => (u, u),
+                _ => (u, v),
+            };
+            reqs.extend([
+                Request::Connected { u, v },
+                Request::Representative { v: u },
+                Request::PathSum { u, v },
+                Request::SubtreeSum { v: sv, parent: sp },
+                Request::Lca { u, v, r },
+                Request::Bottleneck { u, v },
+                Request::NearestMarked { v: u },
+            ]);
+        }
+        let dups: Vec<Request> = reqs[..350].to_vec();
+        reqs.extend(dups);
+        let refs: Vec<&Request> = reqs.iter().collect();
+
+        let (batched, fb) = answer_with(&forest, &refs, |_, _| Engine::Batched);
+        let (independent, fi) = answer_with(&forest, &refs, |_, _| Engine::Independent);
+        for f in 0..7 {
+            assert_eq!(fb.engine[f], 1 + Engine::Batched.index() as u8);
+            assert_eq!(fi.engine[f], 1 + Engine::Independent.index() as u8);
+            assert_eq!(fb.counts[f], fi.counts[f]);
+        }
+        for (i, req) in reqs.iter().enumerate() {
+            assert_eq!(batched[i], independent[i], "request {i}: {req:?}");
+        }
+        // The inputs reach the edge cases: some queries answer None.
+        assert!(batched.contains(&Response::Sum(None)));
+        assert!(batched.contains(&Response::Vertex(None)));
+    }
 }

@@ -129,13 +129,11 @@ pub(crate) struct ServeTelemetry {
     respond_ns: Arc<Histogram>,
     epoch_wall_ns: Arc<Histogram>,
     /// Per-(family, engine) fan-out wall time — the per-family timings
-    /// split by which dispatch engine ran them
+    /// split by which engine ran them
     /// (`serve_family_query_ns{family=...,engine=...}`).
-    family_engine_ns: [[Arc<Histogram>; 3]; 8],
-    /// Dispatch decisions per (family, engine).
-    dispatch_total: [[Arc<Counter>; 3]; 8],
-    /// Decisions that were exploration samples.
-    dispatch_explored_total: Arc<Counter>,
+    family_engine_ns: [[Arc<Histogram>; 2]; 8],
+    /// Fan-outs per (family, engine).
+    dispatch_total: [[Arc<Counter>; 2]; 8],
 }
 
 impl ServeTelemetry {
@@ -187,7 +185,6 @@ impl ServeTelemetry {
                     ))
                 })
             }),
-            dispatch_explored_total: registry.counter("serve_dispatch_explored_total"),
             registry,
         }
     }
@@ -370,17 +367,14 @@ impl ServeTelemetry {
         self.respond_ns.record(t.respond_ns);
         self.epoch_wall_ns.record(t.epoch_wall_ns);
         for i in 0..8 {
-            // 0 = family did not run (or a pre-dispatch trace); else the
-            // recorded engine splits the family's timing series.
+            // 0 = family did not run; else the recorded engine splits
+            // the family's timing series.
             if t.family_engine[i] == 0 {
                 continue;
             }
-            let e = (t.family_engine[i] as usize - 1).min(2);
+            let e = (t.family_engine[i] as usize - 1).min(1);
             self.family_engine_ns[i][e].record(t.family_ns[i]);
             self.dispatch_total[i][e].inc();
-            if (t.family_explored >> i) & 1 == 1 {
-                self.dispatch_explored_total.inc();
-            }
         }
         self.flight.record(t);
     }

@@ -115,7 +115,7 @@ where
     );
 }
 
-/// Sequential two-pointer merge. Ties take from `a` first.
+/// Serial two-pointer merge. Ties take from `a` first.
 fn seq_merge<T, C>(a: &[T], b: &[T], out: &mut [MaybeUninit<T>], cmp: &C)
 where
     C: Fn(&T, &T) -> Ordering,

@@ -30,6 +30,11 @@ use std::time::Duration;
 
 const MAX_DEGREE: usize = 3;
 
+/// Smallest live WAL a scenario truncates: half the compacting
+/// scenario's 16 KiB threshold, so the cuts land in a suffix of many
+/// epochs wherever the last compaction fell.
+const MIN_WAL_LEN: u64 = 8 << 10;
+
 fn fresh_dir(tag: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("rc-recovery-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&d);
@@ -220,14 +225,28 @@ fn run_crash_scenario(sc: &Scenario) -> usize {
     for w in workers {
         w.join().unwrap();
     }
+    // Pad the WAL with single valid updates up to MIN_WAL_LEN. Each
+    // `call()` returns after its epoch's append and any compaction it
+    // triggered, so the length read next is final.
+    let wal_path = dir.join(rcforest::store::WAL_FILE);
     let auditor = server.client();
+    let mut tail = 0usize;
+    while std::fs::metadata(&wal_path).unwrap().len() < MIN_WAL_LEN {
+        let v = (tail % n) as u32;
+        let update = Request::UpdateVertexWeight { v, w: tail as u64 };
+        assert_eq!(auditor.call(update), Response::Updated(Ok(())));
+        tail += 1;
+    }
     server.shutdown();
     let log = auditor.take_commit_log();
     let total_ops = sc.threads * sc.ops_per_thread;
-    assert_eq!(log.len(), total_ops, "every request committed exactly once");
+    assert_eq!(
+        log.len(),
+        total_ops + tail,
+        "every request committed exactly once"
+    );
 
     // ---- crash injection: truncate, recover, differentially verify ----
-    let wal_path = dir.join(rcforest::store::WAL_FILE);
     let wal_len = std::fs::metadata(&wal_path).unwrap().len();
     let cuts = truncation_offsets(wal_len, 16, sc.random_cuts, sc.seed);
     assert!(cuts.len() >= sc.random_cuts / 2 + 4);
