@@ -4,16 +4,16 @@
 //! lower bound, but extrema can: shrink the tree to the compressed path
 //! tree of the `O(k)` query endpoints (which preserves pairwise extrema),
 //! then solve the static offline problem on the small tree. The paper uses
-//! King et al.'s `O(n + k)` MST-verification subroutine; we use
-//! Euler-rooting + binary lifting over the compressed tree
-//! (`O(k log k)` — one log above, see DESIGN.md §4).
+//! King et al.'s `O(n + k)` MST-verification subroutine; here the
+//! compressed tree is rooted by BFS and queried by binary lifting, which
+//! costs `O(k log k)` — one log factor above King et al., paid for a much
+//! simpler solver on a tree of only `O(k)` vertices.
 
 use crate::aggregate::PathAggregate;
 use crate::forest::RcForest;
 use crate::queries::cpt::CompressedPathTree;
 use crate::types::Vertex;
 use rayon::prelude::*;
-use std::collections::HashMap;
 
 impl<P: PathAggregate> RcForest<P> {
     /// For each pair `(u, v)`, the path-monoid aggregate of the `u..v`
@@ -51,98 +51,110 @@ impl<P: PathAggregate> RcForest<P> {
 
 /// Offline static path-aggregate solver over a small tree: rooting by
 /// BFS + binary lifting carrying the aggregate toward each ancestor.
-pub(crate) struct StaticPathSolver<P: PathAggregate> {
-    index: HashMap<Vertex, u32>,
+/// Vertices are indexed by their position in the tree's sorted vertex
+/// list.
+pub(crate) struct StaticPathSolver<'t, P: PathAggregate> {
+    vertices: &'t [Vertex],
     depth: Vec<u32>,
     comp: Vec<u32>,
-    /// `up[j][x]` = 2^j-th ancestor (self when past the root).
-    up: Vec<Vec<u32>>,
-    /// `agg[j][x]` = aggregate from x up to (excluding) `up[j][x]`.
-    agg: Vec<Vec<P::PathVal>>,
+    /// `lift[j][x]` = (the 2^j-th ancestor of `x`, self when past the
+    /// root; the aggregate from `x` up to that ancestor).
+    lift: Vec<Vec<(u32, P::PathVal)>>,
 }
 
-impl<P: PathAggregate> StaticPathSolver<P> {
-    pub(crate) fn build(cpt: &CompressedPathTree<P>) -> Self {
-        let n = cpt.vertices.len();
-        let mut index = HashMap::with_capacity(n * 2);
-        for (i, &v) in cpt.vertices.iter().enumerate() {
-            index.insert(v, i as u32);
+impl<'t, P: PathAggregate> StaticPathSolver<'t, P> {
+    pub(crate) fn build(cpt: &'t CompressedPathTree<P>) -> Self {
+        let vertices = &cpt.vertices[..];
+        let n = vertices.len();
+        let index = |v: Vertex| {
+            vertices
+                .binary_search(&v)
+                .expect("edge endpoint is a tree vertex") as u32
+        };
+        // CSR adjacency: `x`'s (neighbour, edge index) pairs are
+        // `adj[off[x]..off[x + 1]]`.
+        let ends: Vec<(u32, u32)> = cpt
+            .edges
+            .iter()
+            .map(|(a, b, _)| (index(*a), index(*b)))
+            .collect();
+        let mut off = vec![0u32; n + 1];
+        for &(a, b) in &ends {
+            off[a as usize + 1] += 1;
+            off[b as usize + 1] += 1;
         }
-        let mut adj: Vec<Vec<(u32, P::PathVal)>> = vec![Vec::new(); n];
-        for (a, b, w) in &cpt.edges {
-            let (ia, ib) = (index[a], index[b]);
-            adj[ia as usize].push((ib, w.clone()));
-            adj[ib as usize].push((ia, w.clone()));
+        for x in 0..n {
+            off[x + 1] += off[x];
         }
-        // BFS rooting per component.
+        let mut cursor = off[..n].to_vec();
+        let mut adj = vec![(0u32, 0u32); 2 * ends.len()];
+        for (i, &(a, b)) in ends.iter().enumerate() {
+            for (x, y) in [(a, b), (b, a)] {
+                adj[cursor[x as usize] as usize] = (y, i as u32);
+                cursor[x as usize] += 1;
+            }
+        }
+        // BFS rooting per component, over one queue with a head index.
         let mut parent = vec![u32::MAX; n];
         let mut pw: Vec<P::PathVal> = vec![P::path_identity(); n];
         let mut depth = vec![0u32; n];
         let mut comp = vec![u32::MAX; n];
-        let mut order: Vec<u32> = Vec::with_capacity(n);
+        let mut queue: Vec<u32> = Vec::with_capacity(n);
         for s in 0..n as u32 {
             if comp[s as usize] != u32::MAX {
                 continue;
             }
             comp[s as usize] = s;
             parent[s as usize] = s;
-            order.push(s);
-            let mut q = std::collections::VecDeque::from([s]);
-            while let Some(x) = q.pop_front() {
-                for (y, w) in adj[x as usize].clone() {
+            let mut head = queue.len();
+            queue.push(s);
+            while head < queue.len() {
+                let x = queue[head] as usize;
+                head += 1;
+                for &(y, i) in &adj[off[x] as usize..off[x + 1] as usize] {
                     if comp[y as usize] == u32::MAX {
                         comp[y as usize] = s;
-                        parent[y as usize] = x;
-                        pw[y as usize] = w;
-                        depth[y as usize] = depth[x as usize] + 1;
-                        order.push(y);
-                        q.push_back(y);
+                        parent[y as usize] = x as u32;
+                        pw[y as usize] = cpt.edges[i as usize].2.clone();
+                        depth[y as usize] = depth[x] + 1;
+                        queue.push(y);
                     }
                 }
             }
         }
-        // Lifting tables.
+        // Lifting tables. Roots point at themselves with the identity
+        // aggregate at every level, so lifts past a root are no-ops.
         let maxd = depth.iter().copied().max().unwrap_or(0).max(1);
         let levels = (32 - maxd.leading_zeros()) as usize + 1;
-        let mut up: Vec<Vec<u32>> = Vec::with_capacity(levels);
-        let mut agg: Vec<Vec<P::PathVal>> = Vec::with_capacity(levels);
-        up.push(parent);
-        agg.push(pw);
+        let mut lift: Vec<Vec<(u32, P::PathVal)>> = Vec::with_capacity(levels);
+        lift.push(parent.into_iter().zip(pw).collect());
         for j in 1..levels {
-            let (uj, aj): (Vec<u32>, Vec<P::PathVal>) = (0..n)
+            let prev = &lift[j - 1];
+            let level = (0..n)
+                .into_par_iter()
                 .map(|x| {
-                    let h = up[j - 1][x];
-                    (
-                        up[j - 1][h as usize],
-                        P::path_combine(&agg[j - 1][x], &agg[j - 1][h as usize]),
-                    )
+                    let (h, below) = &prev[x];
+                    let (top, above) = &prev[*h as usize];
+                    (*top, P::path_combine(below, above))
                 })
-                .unzip();
-            up.push(uj);
-            agg.push(aj);
-        }
-        // The root's self-loop aggregates must be identities so lifts past
-        // the root are no-ops.
-        for agg_level in agg.iter_mut() {
-            for x in 0..n {
-                if up[0][x] == x as u32 {
-                    // roots: ensure identity at all levels
-                    agg_level[x] = P::path_identity();
-                }
-            }
+                .collect();
+            lift.push(level);
         }
         StaticPathSolver {
-            index,
+            vertices,
             depth,
             comp,
-            up,
-            agg,
+            lift,
         }
     }
 
+    fn index(&self, v: Vertex) -> Option<u32> {
+        self.vertices.binary_search(&v).ok().map(|i| i as u32)
+    }
+
     pub(crate) fn query(&self, u: Vertex, v: Vertex) -> Option<P::PathVal> {
-        let mut x = *self.index.get(&u)?;
-        let mut y = *self.index.get(&v)?;
+        let mut x = self.index(u)?;
+        let mut y = self.index(v)?;
         if self.comp[x as usize] != self.comp[y as usize] {
             return None;
         }
@@ -155,8 +167,9 @@ impl<P: PathAggregate> StaticPathSolver<P> {
         let mut j = 0;
         while delta > 0 {
             if delta & 1 == 1 {
-                acc = P::path_combine(&acc, &self.agg[j][x as usize]);
-                x = self.up[j][x as usize];
+                let (up, a) = &self.lift[j][x as usize];
+                acc = P::path_combine(&acc, a);
+                x = *up;
             }
             delta >>= 1;
             j += 1;
@@ -165,16 +178,17 @@ impl<P: PathAggregate> StaticPathSolver<P> {
             return Some(acc);
         }
         // Lift both to just below the LCA.
-        for j in (0..self.up.len()).rev() {
-            if self.up[j][x as usize] != self.up[j][y as usize] {
-                acc = P::path_combine(&acc, &self.agg[j][x as usize]);
-                acc = P::path_combine(&acc, &self.agg[j][y as usize]);
-                x = self.up[j][x as usize];
-                y = self.up[j][y as usize];
+        for level in self.lift.iter().rev() {
+            let ((ux, ax), (uy, ay)) = (&level[x as usize], &level[y as usize]);
+            if ux != uy {
+                acc = P::path_combine(&acc, ax);
+                acc = P::path_combine(&acc, ay);
+                x = *ux;
+                y = *uy;
             }
         }
-        acc = P::path_combine(&acc, &self.agg[0][x as usize]);
-        acc = P::path_combine(&acc, &self.agg[0][y as usize]);
+        acc = P::path_combine(&acc, &self.lift[0][x as usize].1);
+        acc = P::path_combine(&acc, &self.lift[0][y as usize].1);
         Some(acc)
     }
 }

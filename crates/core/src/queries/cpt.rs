@@ -13,7 +13,11 @@
 //! as provisional degree-2 nodes); a final compaction removes non-terminal
 //! leaves and splices non-terminal degree-2 nodes, combining edge
 //! aggregates — which keeps every pairwise aggregate exact.
-//! `O(k log(1 + n/k))` expected work, `O(k)` output.
+//!
+//! Everything runs on flat arrays indexed by sweep slot: the terminal
+//! flags, the exposures (structure nodes are named by slot), the emitted
+//! edges and the compaction's CSR adjacency. Slots map back to vertex ids
+//! only in the output. `O(k log(1 + n/k))` expected work, `O(k)` output.
 //!
 //! Out-of-range terminals are ignored — the compressed tree is a set
 //! construction, so there is no per-terminal `None` slot to fill; queries
@@ -23,303 +27,278 @@
 use crate::aggregate::PathAggregate;
 use crate::forest::RcForest;
 use crate::types::{ClusterId, ClusterKind, Vertex};
-use std::collections::{HashMap, HashSet, VecDeque};
 
 /// A tree over `O(k)` vertices preserving pairwise path aggregates
 /// between the `terminals` of the original forest.
 #[derive(Clone, Debug)]
 pub struct CompressedPathTree<P: PathAggregate> {
-    /// Original vertex ids present in the compressed tree.
+    /// Original vertex ids present in the compressed tree, sorted.
     pub vertices: Vec<Vertex>,
     /// Edges carrying the aggregate of the original path they contract.
     pub edges: Vec<(Vertex, Vertex, P::PathVal)>,
 }
 
-/// Exposure of a partial Steiner structure toward a boundary: the nearest
-/// structure node and the exact aggregate from the boundary to it.
-type Expose<T> = Option<(Vertex, T)>;
+/// Exposure of a partial Steiner structure toward a boundary: the sweep
+/// slot of the nearest structure node and the exact aggregate from the
+/// boundary to it.
+type Expose<T> = Option<(u32, T)>;
+
+/// Exposures aligned with a cluster's sorted boundary array (unary
+/// clusters use index 0 only).
+type Exposures<T> = [Expose<T>; 2];
+
+/// An edge of the Steiner structure between two sweep slots.
+type SlotEdge<T> = (u32, u32, T);
 
 #[derive(Clone)]
 enum Partial<T> {
     Empty,
-    /// Exposures aligned with the cluster's sorted boundary array
-    /// (unary clusters use slot 0 only).
-    Has([Expose<T>; 2]),
+    Has(Exposures<T>),
 }
 
 impl<P: PathAggregate> RcForest<P> {
     /// Build the compressed path tree of `terminals` (duplicates allowed).
     pub fn compressed_path_tree(&self, terminals: &[Vertex]) -> CompressedPathTree<P> {
-        let term_set: HashSet<Vertex> = terminals
-            .iter()
-            .copied()
-            .filter(|&v| (v as usize) < self.n)
-            .collect();
-        if term_set.is_empty() {
-            return CompressedPathTree {
-                vertices: Vec::new(),
-                edges: Vec::new(),
-            };
+        let sweep = self.marked_sweep(terminals.iter().copied());
+        let mut is_term = vec![false; sweep.len()];
+        for &t in terminals {
+            if let Some(s) = sweep.try_slot(t) {
+                is_term[s as usize] = true;
+            }
         }
-        let sweep = self.marked_sweep(term_set.iter().copied());
-        let mut emitted: Vec<(Vertex, Vertex, P::PathVal)> = Vec::new();
-
-        // Exposure of a *child* cluster of `v`'s contraction toward a
-        // given vertex (v or the far boundary).
-        let expose_of = |partial: &[Partial<P::PathVal>],
-                         child: ClusterId,
-                         toward: Vertex|
-         -> Expose<P::PathVal> {
-            if !child.is_vertex() {
-                return None; // base edges hold no terminals
-            }
-            let w = child.as_vertex();
-            let slot = sweep.try_slot(w)?;
-            match &partial[slot as usize] {
-                Partial::Empty => None,
-                Partial::Has(exp) => {
-                    let c = self.cluster(w);
-                    if c.kind == ClusterKind::Unary {
-                        exp[0].clone()
-                    } else {
-                        let i = if c.boundary[0] == toward { 0 } else { 1 };
-                        debug_assert_eq!(c.boundary[i], toward);
-                        exp[i].clone()
-                    }
-                }
-            }
-        };
+        // Structure nodes are marked clusters' representatives, named by
+        // sweep slot until the end.
+        let mut emitted: Vec<SlotEdge<P::PathVal>> = Vec::new();
+        // Parts attached directly at the visited representative: its rake
+        // children's exposures and itself when it is a terminal.
+        let mut parts: Vec<(u32, P::PathVal)> = Vec::new();
 
         // Bottom-up visitor over the marked sweep; emits junction edges as
-        // a side effect and summarizes each cluster by its exposures.
+        // a side effect and summarizes each cluster by its exposures. Only
+        // marked children can hold terminals, so each is read once, from
+        // the sweep's child lists.
         sweep.bottom_up(Partial::Empty, |s, partial| {
-            {
-                let v = sweep.rep(s);
-                let c = self.cluster(v);
-                // Parts attached directly at v: rake children + v itself.
-                let mut parts: Vec<(Vertex, P::PathVal)> = Vec::new();
-                for rk in c.rake_children.iter() {
-                    if let Some(p) = expose_of(partial, rk, v) {
-                        parts.push(p);
-                    }
-                }
-                if term_set.contains(&v) {
-                    parts.push((v, P::path_identity()));
-                }
-
-                let result = match c.kind {
-                    ClusterKind::Unary => {
-                        let e = c.bin_children[0];
-                        let path_e = self.agg_of(e).cluster_path();
-                        let e_near = expose_of(partial, e, v);
-                        let e_far = expose_of(partial, e, c.boundary[0]);
-                        let dirs = parts.len() + usize::from(e_near.is_some());
-                        match dirs {
-                            0 => Partial::Empty,
-                            1 => {
-                                if e_near.is_some() {
-                                    Partial::Has([e_far, None])
-                                } else {
-                                    let (t, d) = parts.pop().unwrap();
-                                    Partial::Has([Some((t, P::path_combine(&path_e, &d))), None])
-                                }
-                            }
-                            _ => {
-                                for (t, d) in parts {
-                                    if t != v {
-                                        emitted.push((v, t, d));
-                                    }
-                                }
-                                if let Some((te, de)) = e_near {
-                                    emitted.push((v, te, de));
-                                    Partial::Has([e_far, None])
-                                } else {
-                                    Partial::Has([Some((v, path_e)), None])
-                                }
-                            }
-                        }
-                    }
-                    ClusterKind::Binary => {
-                        let (l, r) = (c.bin_children[0], c.bin_children[1]);
-                        let path_l = self.agg_of(l).cluster_path();
-                        let path_r = self.agg_of(r).cluster_path();
-                        let l_near = expose_of(partial, l, v);
-                        let l_far = expose_of(partial, l, c.boundary[0]);
-                        let r_near = expose_of(partial, r, v);
-                        let r_far = expose_of(partial, r, c.boundary[1]);
-                        let dirs = parts.len()
-                            + usize::from(l_near.is_some())
-                            + usize::from(r_near.is_some());
-                        match dirs {
-                            0 => Partial::Empty,
-                            1 => {
-                                if let Some((tl, dl)) = l_near {
-                                    Partial::Has([l_far, Some((tl, P::path_combine(&path_r, &dl)))])
-                                } else if let Some((tr, dr)) = r_near {
-                                    Partial::Has([Some((tr, P::path_combine(&path_l, &dr))), r_far])
-                                } else {
-                                    let (t, d) = parts.pop().unwrap();
-                                    if t != v {
-                                        emitted.push((v, t, d));
-                                    }
-                                    Partial::Has([
-                                        Some((v, path_l.clone())),
-                                        Some((v, path_r.clone())),
-                                    ])
-                                }
-                            }
-                            _ => {
-                                for (t, d) in parts {
-                                    if t != v {
-                                        emitted.push((v, t, d));
-                                    }
-                                }
-                                let e0 = if let Some((tl, dl)) = l_near {
-                                    emitted.push((v, tl, dl));
-                                    l_far
-                                } else {
-                                    Some((v, path_l.clone()))
-                                };
-                                let e1 = if let Some((tr, dr)) = r_near {
-                                    emitted.push((v, tr, dr));
-                                    r_far
-                                } else {
-                                    Some((v, path_r.clone()))
-                                };
-                                Partial::Has([e0, e1])
-                            }
-                        }
-                    }
-                    ClusterKind::Nullary => {
-                        if parts.len() >= 2 {
-                            for (t, d) in parts {
-                                emitted.push((v, t, d));
-                            }
-                            Partial::Has([Some((v, P::path_identity())), None])
-                        } else {
-                            // 0 or 1 directions: structure already complete.
-                            Partial::Empty
-                        }
-                    }
-                    ClusterKind::Invalid => unreachable!(),
+            let v = sweep.rep(s);
+            let c = self.cluster(v);
+            // Per binary child (aligned with `c.bin_children`): its
+            // exposures and the index of the one toward `v`.
+            let mut bin = [None, None];
+            parts.clear();
+            for &cs in sweep.children(s) {
+                let Partial::Has(exp) = &partial[cs as usize] else {
+                    continue;
                 };
-                result
+                let w = sweep.rep(cs);
+                let wc = self.cluster(w);
+                if wc.kind == ClusterKind::Unary {
+                    // A rake child: its one exposure points at `v`.
+                    parts.extend(exp[0].clone());
+                } else {
+                    let i = usize::from(c.bin_children[0] != ClusterId::vertex(w));
+                    debug_assert_eq!(c.bin_children[i], ClusterId::vertex(w));
+                    bin[i] = Some((exp, usize::from(wc.boundary[0] != v)));
+                }
+            }
+            if is_term[s as usize] {
+                parts.push((s, P::path_identity()));
+            }
+            // Exposure of binary child `i` toward `v` and toward its far
+            // boundary `c.boundary[i]`.
+            let near = |i: usize| bin[i].and_then(|(e, j)| e[j].clone());
+            let far = |i: usize| bin[i].and_then(|(e, j)| e[1 - j].clone());
+            let path = |i: usize| self.agg_of(c.bin_children[i]).cluster_path();
+
+            match c.kind {
+                ClusterKind::Unary => {
+                    let e_near = near(0);
+                    let dirs = parts.len() + usize::from(e_near.is_some());
+                    match dirs {
+                        0 => Partial::Empty,
+                        1 => {
+                            if e_near.is_some() {
+                                Partial::Has([far(0), None])
+                            } else {
+                                let (t, d) = parts.pop().unwrap();
+                                Partial::Has([Some((t, P::path_combine(&path(0), &d))), None])
+                            }
+                        }
+                        _ => {
+                            for (t, d) in parts.drain(..) {
+                                if t != s {
+                                    emitted.push((s, t, d));
+                                }
+                            }
+                            if let Some((te, de)) = e_near {
+                                emitted.push((s, te, de));
+                                Partial::Has([far(0), None])
+                            } else {
+                                Partial::Has([Some((s, path(0))), None])
+                            }
+                        }
+                    }
+                }
+                ClusterKind::Binary => {
+                    let (l_near, r_near) = (near(0), near(1));
+                    let dirs =
+                        parts.len() + usize::from(l_near.is_some()) + usize::from(r_near.is_some());
+                    match dirs {
+                        0 => Partial::Empty,
+                        1 => {
+                            if let Some((tl, dl)) = l_near {
+                                Partial::Has([far(0), Some((tl, P::path_combine(&path(1), &dl)))])
+                            } else if let Some((tr, dr)) = r_near {
+                                Partial::Has([Some((tr, P::path_combine(&path(0), &dr))), far(1)])
+                            } else {
+                                let (t, d) = parts.pop().unwrap();
+                                if t != s {
+                                    emitted.push((s, t, d));
+                                }
+                                Partial::Has([Some((s, path(0))), Some((s, path(1)))])
+                            }
+                        }
+                        _ => {
+                            for (t, d) in parts.drain(..) {
+                                if t != s {
+                                    emitted.push((s, t, d));
+                                }
+                            }
+                            let e0 = if let Some((tl, dl)) = l_near {
+                                emitted.push((s, tl, dl));
+                                far(0)
+                            } else {
+                                Some((s, path(0)))
+                            };
+                            let e1 = if let Some((tr, dr)) = r_near {
+                                emitted.push((s, tr, dr));
+                                far(1)
+                            } else {
+                                Some((s, path(1)))
+                            };
+                            Partial::Has([e0, e1])
+                        }
+                    }
+                }
+                ClusterKind::Nullary => {
+                    if parts.len() >= 2 {
+                        for (t, d) in parts.drain(..) {
+                            if t != s {
+                                emitted.push((s, t, d));
+                            }
+                        }
+                        Partial::Has([Some((s, P::path_identity())), None])
+                    } else {
+                        // 0 or 1 directions: structure already complete.
+                        Partial::Empty
+                    }
+                }
+                ClusterKind::Invalid => unreachable!(),
             }
         });
 
-        compact::<P>(emitted, &term_set)
+        let (nodes, edges) = compact::<P>(&emitted, &is_term);
+        let mut vertices: Vec<Vertex> = nodes.into_iter().map(|s| sweep.rep(s)).collect();
+        vertices.sort_unstable();
+        CompressedPathTree {
+            vertices,
+            edges: edges
+                .into_iter()
+                .map(|(a, b, w)| (sweep.rep(a), sweep.rep(b), w))
+                .collect(),
+        }
     }
 }
 
-/// Remove non-terminal leaves and splice non-terminal degree-2 vertices,
-/// combining the aggregates of merged edges.
+/// Compact the emitted Steiner forest over sweep slots: remove
+/// non-terminal leaves, then splice the runs of non-terminal degree-2
+/// nodes between *anchors* (terminals and nodes of degree ≥ 3), combining
+/// the aggregates of merged edges. Returns the anchors and the compacted
+/// edges.
 fn compact<P: PathAggregate>(
-    emitted: Vec<(Vertex, Vertex, P::PathVal)>,
-    terminals: &HashSet<Vertex>,
-) -> CompressedPathTree<P> {
-    #[derive(Clone)]
-    struct E<T> {
-        a: Vertex,
-        b: Vertex,
-        w: T,
-        alive: bool,
+    emitted: &[SlotEdge<P::PathVal>],
+    is_term: &[bool],
+) -> (Vec<u32>, Vec<SlotEdge<P::PathVal>>) {
+    let m = is_term.len();
+    // CSR adjacency over slots: node `x`'s edge ids are
+    // `adj[off[x]..off[x + 1]]`.
+    let mut deg = vec![0u32; m];
+    for &(a, b, _) in emitted {
+        deg[a as usize] += 1;
+        deg[b as usize] += 1;
     }
-    let mut edges: Vec<E<P::PathVal>> = emitted
-        .into_iter()
-        .map(|(a, b, w)| E {
-            a,
-            b,
-            w,
-            alive: true,
-        })
-        .collect();
-    let mut adj: HashMap<Vertex, Vec<usize>> = HashMap::new();
-    for (i, e) in edges.iter().enumerate() {
-        adj.entry(e.a).or_default().push(i);
-        adj.entry(e.b).or_default().push(i);
+    let mut off = vec![0u32; m + 1];
+    for x in 0..m {
+        off[x + 1] = off[x] + deg[x];
     }
-    for &t in terminals {
-        adj.entry(t).or_default();
+    let mut cursor = off[..m].to_vec();
+    let mut adj = vec![0u32; off[m] as usize];
+    for (i, &(a, b, _)) in emitted.iter().enumerate() {
+        for x in [a, b] {
+            adj[cursor[x as usize] as usize] = i as u32;
+            cursor[x as usize] += 1;
+        }
     }
-    let live_deg = |adj: &HashMap<Vertex, Vec<usize>>, edges: &Vec<E<P::PathVal>>, v: Vertex| {
-        adj.get(&v)
-            .map_or(0, |es| es.iter().filter(|&&i| edges[i].alive).count())
+    let mut alive = vec![true; emitted.len()];
+    let other = |i: u32, x: u32| {
+        let (a, b, _) = &emitted[i as usize];
+        if *a == x {
+            *b
+        } else {
+            *a
+        }
     };
-    let mut queue: VecDeque<Vertex> = adj
-        .keys()
-        .copied()
-        .filter(|v| !terminals.contains(v))
+    // The first live edge of `x`.
+    let live_edge = |alive: &[bool], x: u32| {
+        adj[off[x as usize] as usize..off[x as usize + 1] as usize]
+            .iter()
+            .copied()
+            .find(|&i| alive[i as usize])
+            .expect("node has a live edge")
+    };
+
+    // Prune non-terminal leaves; a pruned leaf's neighbour may become one.
+    let mut stack: Vec<u32> = (0..m as u32)
+        .filter(|&x| deg[x as usize] == 1 && !is_term[x as usize])
         .collect();
-    let mut removed: HashSet<Vertex> = HashSet::new();
-    while let Some(x) = queue.pop_front() {
-        if terminals.contains(&x) || removed.contains(&x) {
-            continue;
+    while let Some(x) = stack.pop() {
+        if deg[x as usize] != 1 {
+            continue; // its last edge went with a neighbouring leaf
         }
-        let live: Vec<usize> = adj
-            .get(&x)
-            .map(|es| es.iter().copied().filter(|&i| edges[i].alive).collect())
-            .unwrap_or_default();
-        match live.len() {
-            0 => {
-                removed.insert(x);
-            }
-            1 => {
-                let i = live[0];
-                edges[i].alive = false;
-                removed.insert(x);
-                let other = if edges[i].a == x {
-                    edges[i].b
-                } else {
-                    edges[i].a
-                };
-                queue.push_back(other);
-            }
-            2 => {
-                let (i, j) = (live[0], live[1]);
-                let a = if edges[i].a == x {
-                    edges[i].b
-                } else {
-                    edges[i].a
-                };
-                let b = if edges[j].a == x {
-                    edges[j].b
-                } else {
-                    edges[j].a
-                };
-                let w = P::path_combine(&edges[i].w, &edges[j].w);
-                edges[i].alive = false;
-                edges[j].alive = false;
-                removed.insert(x);
-                let k = edges.len();
-                edges.push(E {
-                    a,
-                    b,
-                    w,
-                    alive: true,
-                });
-                adj.entry(a).or_default().push(k);
-                adj.entry(b).or_default().push(k);
-            }
-            _ => {} // genuine Steiner branch point: keep
+        let i = live_edge(&alive, x);
+        alive[i as usize] = false;
+        deg[x as usize] = 0;
+        let y = other(i, x);
+        deg[y as usize] -= 1;
+        if deg[y as usize] == 1 && !is_term[y as usize] {
+            stack.push(y);
         }
     }
-    let out_edges: Vec<(Vertex, Vertex, P::PathVal)> = edges
-        .iter()
-        .filter(|e| e.alive)
-        .map(|e| (e.a, e.b, e.w.clone()))
-        .collect();
-    let mut verts: HashSet<Vertex> = terminals.iter().copied().collect();
-    for (a, b, _) in &out_edges {
-        verts.insert(*a);
-        verts.insert(*b);
+
+    // Walk from each anchor along every live edge, through degree-2
+    // non-terminals, to the next anchor. Walked edges die, so the run is
+    // emitted once.
+    let is_anchor = |x: u32| is_term[x as usize] || deg[x as usize] >= 3;
+    let mut nodes = Vec::new();
+    let mut out = Vec::new();
+    for a in (0..m as u32).filter(|&x| is_anchor(x)) {
+        nodes.push(a);
+        for k in off[a as usize]..off[a as usize + 1] {
+            let i = adj[k as usize];
+            if !alive[i as usize] {
+                continue;
+            }
+            alive[i as usize] = false;
+            let mut w = emitted[i as usize].2.clone();
+            let mut y = other(i, a);
+            while !is_anchor(y) {
+                let j = live_edge(&alive, y);
+                alive[j as usize] = false;
+                w = P::path_combine(&w, &emitted[j as usize].2);
+                y = other(j, y);
+            }
+            out.push((a, y, w));
+        }
     }
-    let mut vertices: Vec<Vertex> = verts.into_iter().collect();
-    vertices.sort_unstable();
-    let _ = live_deg;
-    CompressedPathTree {
-        vertices,
-        edges: out_edges,
-    }
+    (nodes, out)
 }
 
 impl<P: PathAggregate> CompressedPathTree<P> {
@@ -329,25 +308,28 @@ impl<P: PathAggregate> CompressedPathTree<P> {
         if u == v {
             return Some(P::path_identity());
         }
-        let mut adj: HashMap<Vertex, Vec<(Vertex, &P::PathVal)>> = HashMap::new();
+        let index = |x: Vertex| self.vertices.binary_search(&x).ok();
+        let (iu, iv) = (index(u)?, index(v)?);
+        let mut adj: Vec<Vec<(usize, &P::PathVal)>> = vec![Vec::new(); self.vertices.len()];
         for (a, b, w) in &self.edges {
-            adj.entry(*a).or_default().push((*b, w));
-            adj.entry(*b).or_default().push((*a, w));
+            let (ia, ib) = (index(*a)?, index(*b)?);
+            adj[ia].push((ib, w));
+            adj[ib].push((ia, w));
         }
-        let mut q = VecDeque::from([u]);
-        let mut val: HashMap<Vertex, P::PathVal> = HashMap::new();
-        val.insert(u, P::path_identity());
-        while let Some(x) = q.pop_front() {
-            let xv = val[&x].clone();
-            if x == v {
+        let mut val: Vec<Option<P::PathVal>> = vec![None; self.vertices.len()];
+        val[iu] = Some(P::path_identity());
+        let mut queue = vec![iu];
+        let mut head = 0;
+        while let Some(&x) = queue.get(head) {
+            head += 1;
+            let xv = val[x].clone().expect("queued vertices have values");
+            if x == iv {
                 return Some(xv);
             }
-            if let Some(nbrs) = adj.get(&x) {
-                for (y, w) in nbrs {
-                    if !val.contains_key(y) {
-                        val.insert(*y, P::path_combine(&xv, w));
-                        q.push_back(*y);
-                    }
+            for &(y, w) in &adj[x] {
+                if val[y].is_none() {
+                    val[y] = Some(P::path_combine(&xv, w));
+                    queue.push(y);
                 }
             }
         }
@@ -359,6 +341,7 @@ impl<P: PathAggregate> CompressedPathTree<P> {
 mod tests {
     use crate::aggregates::{MaxEdgeAgg, SumAgg};
     use crate::forest::{BuildOptions, RcForest};
+    use crate::types::{ClusterId, ClusterKind};
     use rc_parlay::rng::SplitMix64;
 
     #[test]
@@ -408,6 +391,129 @@ mod tests {
         assert_eq!(cpt.path_value(0, 1), Some(3));
         assert_eq!(cpt.path_value(2, 3), Some(4));
         assert_eq!(cpt.path_value(0, 3), None);
+    }
+
+    #[test]
+    fn cpt_compaction_edge_cases() {
+        // A spider with centre 0 and arms 0-1-2-3, 0-4-5-6, 0-7-8-9, with
+        // pendant leaves 13 on 1 and 14 on 5, plus a separate path
+        // 10-11-12.
+        let edges: Vec<(u32, u32, i64)> = vec![
+            (0, 1, 1),
+            (1, 2, 2),
+            (2, 3, 4),
+            (0, 4, 8),
+            (4, 5, 16),
+            (5, 6, 32),
+            (0, 7, 64),
+            (7, 8, 128),
+            (8, 9, 256),
+            (10, 11, 512),
+            (11, 12, 1024),
+            (1, 13, 2048),
+            (5, 14, 4096),
+        ];
+        let mut naive = crate::naive::NaiveForest::<i64>::new(15);
+        for &(u, v, w) in &edges {
+            naive.link(u, v, w).unwrap();
+        }
+        let cases: [(&str, &[u32]); 6] = [
+            ("duplicate terminals", &[3, 3, 6, 6, 3]),
+            ("terminal at the branch point", &[0, 3, 6, 9]),
+            ("terminal inside a degree-2 run", &[3, 2, 6]),
+            ("degree-3 Steiner point", &[3, 6, 9]),
+            ("separate components", &[3, 6, 11, 12]),
+            ("single terminal", &[5]),
+        ];
+        // Different seeds give different RC trees over the same forest.
+        for seed in 0..8u64 {
+            let opts = BuildOptions {
+                seed,
+                ..BuildOptions::default()
+            };
+            let f = RcForest::<SumAgg<i64>>::build_edges(15, &edges, opts).unwrap();
+            for (name, terms) in cases {
+                let cpt = f.compressed_path_tree(terms);
+                let mut distinct = terms.to_vec();
+                distinct.sort_unstable();
+                distinct.dedup();
+                assert!(
+                    cpt.vertices.windows(2).all(|w| w[0] < w[1]),
+                    "seed {seed}, {name}: vertices not sorted: {:?}",
+                    cpt.vertices
+                );
+                assert!(
+                    cpt.vertices.len() <= 2 * distinct.len(),
+                    "seed {seed}, {name}: {} vertices for {} terminals",
+                    cpt.vertices.len(),
+                    distinct.len()
+                );
+                assert!(
+                    cpt.edges.iter().all(|(a, b, _)| a != b),
+                    "seed {seed}, {name}: self-loop in {:?}",
+                    cpt.edges
+                );
+                for &a in &distinct {
+                    for &b in &distinct {
+                        let want = naive.path_edges(a, b).map(|es| es.iter().sum::<i64>());
+                        assert_eq!(
+                            cpt.path_value(a, b),
+                            want,
+                            "seed {seed}, {name}: pair ({a},{b})"
+                        );
+                    }
+                }
+            }
+            // The degree-3 Steiner point is kept; run interiors are not.
+            let cpt = f.compressed_path_tree(&[3, 6, 9]);
+            assert_eq!(cpt.vertices, vec![0, 3, 6, 9], "seed {seed}");
+            let cpt = f.compressed_path_tree(&[3, 2, 6]);
+            assert_eq!(cpt.vertices, vec![2, 3, 6], "seed {seed}");
+            assert_eq!(cpt.edges.len(), 2, "seed {seed}");
+            // A terminal alone in its component compresses to a bare
+            // vertex: when it sits in a rake child, the junction emitted
+            // above it is a non-terminal leaf that compaction prunes.
+            for t in 0..15u32 {
+                let other = if (10..13).contains(&t) { 0 } else { 11 };
+                for terms in [vec![t], vec![t, other]] {
+                    let cpt = f.compressed_path_tree(&terms);
+                    let mut want = terms.clone();
+                    want.sort_unstable();
+                    assert_eq!(cpt.vertices, want, "seed {seed}, lone {terms:?}");
+                    assert!(cpt.edges.is_empty(), "seed {seed}, lone {terms:?}");
+                }
+            }
+        }
+
+        // Leaf 3 rakes onto 1, which then compresses between the branch
+        // points 0 and 2: a lone terminal at 3 emits a junction at 1 that
+        // ends up a non-terminal leaf, so compaction has to prune it.
+        let edges: Vec<(u32, u32, i64)> = [
+            (0, 1),
+            (1, 2),
+            (1, 3),
+            (0, 4),
+            (4, 5),
+            (2, 6),
+            (6, 7),
+            (2, 8),
+            (0, 9),
+        ]
+        .iter()
+        .map(|&(u, v)| (u, v, 1))
+        .collect();
+        let f = RcForest::<SumAgg<i64>>::build_edges(10, &edges, BuildOptions::default()).unwrap();
+        assert_eq!(f.cluster(1).kind, ClusterKind::Binary);
+        assert!(f
+            .cluster(1)
+            .rake_children
+            .iter()
+            .any(|c| c == ClusterId::vertex(3)));
+        for t in 0..10u32 {
+            let cpt = f.compressed_path_tree(&[t]);
+            assert_eq!(cpt.vertices, vec![t], "lone {t}");
+            assert!(cpt.edges.is_empty(), "lone {t}");
+        }
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! LCA queries on dynamic trees (§3.5, §5.7, supplementary A.8).
 //!
-//! The batch algorithm marks the ancestors of all query vertices, builds a
-//! static LCA structure (Euler tour + sparse table) and level-ancestor /
-//! highest-unary binary-lifting tables over the **marked subtree only**,
-//! computes the top-down `root_boundary` orientation, and answers each
-//! query by the casework of A.8:
+//! The batch algorithm marks the ancestors of all query vertices once,
+//! builds depth, root-label and `root_boundary` orientation arrays and a
+//! binary-lifting table (ancestor + highest unary cluster per level) over
+//! the **marked subtree only**, and answers each query by the casework of
+//! A.8. The RC-LCA of two marked clusters comes from the same lifting
+//! table: lift the deeper one to equal depth, then descend the levels.
 //!
 //! * the *common boundary* `c` (representative of the RC-LCA of `U`, `V`)
 //!   is the answer unless the walk to the root departs into one of the
@@ -13,9 +14,12 @@
 //!   to the query vertex — found via the highest unary ancestor.
 //!
 //! Arbitrary roots reduce to three fixed-root queries XOR-ed together
-//! (Lemma A.10). As in the paper, the table construction spends
-//! `O(k log(1+n/k) · log)` work — the Berkman–Vishkin structure exists but
-//! "has a 2^228 constant factor" (§5.7), so brute-force tables it is.
+//! (Lemma A.10). The paper concedes a log factor on the static LCA
+//! structure — the Berkman–Vishkin structure exists but "has a 2^228
+//! constant factor" (§5.7). The marked subtree is only `O(log n)` deep,
+//! so its lifting table has `O(log log n)` levels: for `m` marked
+//! clusters the tables cost `O(m log log n)` work, and each query
+//! `O(log log n)`.
 
 use crate::aggregate::ClusterAggregate;
 use crate::forest::RcForest;
@@ -269,25 +273,24 @@ impl<A: ClusterAggregate> RcForest<A> {
     }
 }
 
-/// Static tables over the marked subtree: Euler-tour sparse-table LCA,
-/// binary lifting with highest-unary tracking, root labels & orientation.
-struct LcaTables {
+/// Static tables over the marked subtree: depths, root labels and
+/// orientation, and binary lifting with highest-unary tracking. Shared
+/// by batch LCA and batch path sums.
+pub(crate) struct LcaTables {
     depth: Vec<u32>,
-    root_label: Vec<Vertex>,
-    root_boundary: Vec<Vertex>,
-    /// Euler tour as (slot) sequence; `first[slot]` = first occurrence.
-    first: Vec<u32>,
-    /// Sparse table over the Euler tour of (depth, slot) minima.
-    sparse: Vec<Vec<(u32, u32)>>,
-    /// Binary lifting: `up[j][slot]` = 2^j-th marked ancestor.
-    up: Vec<Vec<u32>>,
-    /// `hu[j][slot]` = topmost (minimum-depth) unary cluster among the
-    /// window of 2^j nodes starting at `slot` going up.
-    hu: Vec<Vec<u32>>,
+    /// Per slot: representative of the component's root cluster.
+    pub(crate) root_label: Vec<Vertex>,
+    /// Per slot: the boundary toward the component root
+    /// ([`MarkedSweep::root_boundary`]).
+    pub(crate) root_boundary: Vec<Vertex>,
+    /// Binary lifting: `lift[j][slot]` = (the 2^j-th marked ancestor,
+    /// the topmost unary cluster among the window of 2^j nodes starting
+    /// at `slot` going up, or `NONE_U32`).
+    lift: Vec<Vec<(u32, u32)>>,
 }
 
 impl LcaTables {
-    fn build<A: ClusterAggregate>(f: &RcForest<A>, sweep: &MarkedSweep<'_, A>) -> Self {
+    pub(crate) fn build<A: ClusterAggregate>(f: &RcForest<A>, sweep: &MarkedSweep<'_, A>) -> Self {
         let m = sweep.len();
         // Depth + root labels + orientation via engine top-down passes.
         let root_label = sweep.root_labels();
@@ -296,107 +299,77 @@ impl LcaTables {
             None => 0,
             Some(p) => *vals.get(p) + 1,
         });
-        // Euler tour (iterative DFS per root).
-        let mut euler: Vec<u32> = Vec::with_capacity(2 * m);
-        let mut first = vec![NONE_U32; m];
-        for &root in sweep.roots() {
-            let mut stack: Vec<(u32, usize)> = vec![(root, 0)];
-            while let Some(&mut (s, ref mut ci)) = stack.last_mut() {
-                if *ci == 0 {
-                    first[s as usize] = euler.len() as u32;
-                    euler.push(s);
-                }
-                let kids = sweep.children(s);
-                if *ci < kids.len() {
-                    let k = kids[*ci];
-                    *ci += 1;
-                    stack.push((k, 0));
-                } else {
-                    stack.pop();
-                    if let Some(&(ps, _)) = stack.last() {
-                        euler.push(ps);
-                    }
-                }
-            }
-        }
-        // Sparse table of (depth, slot) minima over the Euler tour.
-        let e = euler.len().max(1);
-        let logs = (usize::BITS - e.leading_zeros()) as usize;
-        let mut sparse: Vec<Vec<(u32, u32)>> = Vec::with_capacity(logs);
-        sparse.push(euler.iter().map(|&s| (depth[s as usize], s)).collect());
-        let mut j = 1;
-        while (1 << j) <= e {
-            let prev = &sparse[j - 1];
-            let mut row = Vec::with_capacity(e - (1 << j) + 1);
-            for i in 0..=e - (1 << j) {
-                row.push(prev[i].min(prev[i + (1 << (j - 1))]));
-            }
-            sparse.push(row);
-            j += 1;
-        }
-        // Binary lifting + highest-unary windows.
+        // Binary lifting + highest-unary windows. The marked subtree is
+        // `O(log n)` deep, so there are `O(log log n)` levels.
         let maxd = depth.iter().copied().max().unwrap_or(0) as usize;
         let levels = (usize::BITS - maxd.max(1).leading_zeros()) as usize + 1;
-        let mut up: Vec<Vec<u32>> = Vec::with_capacity(levels);
-        let mut hu: Vec<Vec<u32>> = Vec::with_capacity(levels);
-        up.push(
-            (0..m as u32)
-                .map(|s| sweep.parent(s).unwrap_or(NONE_U32))
-                .collect(),
-        );
-        hu.push(
-            (0..m as u32)
+        let mut lift: Vec<Vec<(u32, u32)>> = Vec::with_capacity(levels);
+        lift.push(
+            (0..m)
+                .into_par_iter()
                 .map(|s| {
-                    if f.cluster(sweep.rep(s)).kind == ClusterKind::Unary {
-                        s
-                    } else {
-                        NONE_U32
-                    }
+                    let s = s as u32;
+                    let unary = f.cluster(sweep.rep(s)).kind == ClusterKind::Unary;
+                    (
+                        sweep.parent(s).unwrap_or(NONE_U32),
+                        if unary { s } else { NONE_U32 },
+                    )
                 })
                 .collect(),
         );
         for j in 1..levels {
-            let (upj, huj): (Vec<u32>, Vec<u32>) = (0..m)
+            let prev = &lift[j - 1];
+            let level = (0..m)
+                .into_par_iter()
                 .map(|s| {
-                    let half = up[j - 1][s];
+                    let (half, low) = prev[s];
                     if half == NONE_U32 {
-                        (NONE_U32, hu[j - 1][s])
+                        (NONE_U32, low)
                     } else {
-                        let second = hu[j - 1][half as usize];
-                        let combined = if second != NONE_U32 {
-                            second
-                        } else {
-                            hu[j - 1][s]
-                        };
-                        (up[j - 1][half as usize], combined)
+                        let (top, high) = prev[half as usize];
+                        (top, if high != NONE_U32 { high } else { low })
                     }
                 })
-                .unzip();
-            up.push(upj);
-            hu.push(huj);
+                .collect();
+            lift.push(level);
         }
         LcaTables {
             depth,
             root_label,
             root_boundary,
-            first,
-            sparse,
-            up,
-            hu,
+            lift,
         }
     }
 
-    /// RC-LCA of two marked slots via the sparse table.
-    fn rc_lca(&self, a: u32, b: u32) -> u32 {
-        let (mut i, mut j) = (self.first[a as usize], self.first[b as usize]);
-        if i > j {
-            std::mem::swap(&mut i, &mut j);
+    /// RC-LCA of two slots of one component, with the arrival children:
+    /// the ancestors of `a` and `b` one level below the meet (`None` for
+    /// a side that is the meet itself). Equalizes depths, then descends
+    /// the lifting levels.
+    fn meet(&self, a: u32, b: u32) -> (u32, Option<u32>, Option<u32>) {
+        let (da, db) = (self.depth[a as usize], self.depth[b as usize]);
+        if da < db {
+            let (m, arr_b, arr_a) = self.meet(b, a);
+            return (m, arr_a, arr_b);
         }
-        let len = (j - i + 1) as usize;
-        let k = (usize::BITS - 1 - len.leading_zeros()) as usize;
-        let x = self.sparse[k][i as usize];
-        let y = self.sparse[k][j as usize + 1 - (1 << k)];
-        x.min(y).1
+        let mut x = a;
+        if da > db {
+            let below = self.level_anc(a, db + 1);
+            x = self.lift[0][below as usize].0;
+            if x == b {
+                return (b, Some(below), None);
+            }
+        } else if a == b {
+            return (a, None, None);
+        }
+        let mut y = b;
+        for level in self.lift.iter().rev() {
+            let (ux, uy) = (level[x as usize].0, level[y as usize].0);
+            if ux != uy {
+                x = ux;
+                y = uy;
+            }
+        }
+        (self.lift[0][x as usize].0, Some(x), Some(y))
     }
 
     /// Marked ancestor of `s` at depth `d` (level ancestor).
@@ -405,7 +378,7 @@ impl LcaTables {
         let mut j = 0;
         while delta > 0 {
             if delta & 1 == 1 {
-                s = self.up[j][s as usize];
+                s = self.lift[j][s as usize].0;
             }
             delta >>= 1;
             j += 1;
@@ -422,11 +395,11 @@ impl LcaTables {
         let mut j = 0;
         while steps > 0 {
             if steps & 1 == 1 {
-                let cand = self.hu[j][s as usize];
+                let (up, cand) = self.lift[j][s as usize];
                 if cand != NONE_U32 {
                     best = cand; // later windows are higher: overwrite
                 }
-                s = self.up[j][s as usize];
+                s = up;
             }
             steps >>= 1;
             j += 1;
@@ -434,8 +407,11 @@ impl LcaTables {
         best
     }
 
-    /// Fixed-root LCA using the precomputed tables.
-    fn fixed<A: ClusterAggregate>(
+    /// LCA of the marked vertices `u` and `v` with respect to their
+    /// component root representative `root`, using the precomputed
+    /// tables. The answer is `u`, `v`, `root`, the meet's representative
+    /// or a boundary of a marked unary cluster, so it is always marked.
+    pub(crate) fn fixed<A: ClusterAggregate>(
         &self,
         f: &RcForest<A>,
         sweep: &MarkedSweep<'_, A>,
@@ -451,75 +427,38 @@ impl LcaTables {
         }
         let su = sweep.slot(u);
         let sv = sweep.slot(v);
-        let sm = self.rc_lca(su, sv);
-        let m = sweep.rep(sm);
-        let dm = self.depth[sm as usize];
-        let arr_u = if su == sm {
-            None
-        } else {
-            Some(sweep.rep(self.level_anc(su, dm + 1)))
-        };
-        let arr_v = if sv == sm {
-            None
-        } else {
-            Some(sweep.rep(self.level_anc(sv, dm + 1)))
-        };
+        let (sm, arr_u, arr_v) = self.meet(su, sv);
+        let c = sweep.rep(sm);
         let rb_m = self.root_boundary[sm as usize];
-
-        let closest = |x: Vertex, w: Vertex| -> Vertex {
-            let sx = sweep.slot(x);
-            let sw = sweep.slot(w);
-            let hu = self.highest_unary(sw, sx);
-            if hu == NONE_U32 {
-                w
-            } else {
-                f.cluster(sweep.rep(hu)).boundary[0]
-            }
-        };
-        let c = m;
-        let one_sided = |w: Vertex, x: Vertex| -> Vertex {
-            let xc = f.cluster(x);
+        // Is `c` on the path from arrival child `X`'s contents to the
+        // root? True when `X` is unary (its only exit is `c`) or its far
+        // boundary is not the root boundary of the meet.
+        let between = |sx: u32| -> bool {
+            let xc = f.cluster(sweep.rep(sx));
             if xc.kind != ClusterKind::Binary {
-                return c;
+                return true;
             }
             let far = if xc.boundary[0] == c {
                 xc.boundary[1]
             } else {
                 xc.boundary[0]
             };
-            if far != rb_m {
-                c
+            far != rb_m
+        };
+        // The vertex on `X`'s cluster path closest to the contained start
+        // `w` (Lemma A.14).
+        let closest = |sx: u32, sw: u32| -> Vertex {
+            let hu = self.highest_unary(sw, sx);
+            if hu == NONE_U32 {
+                sweep.rep(sw)
             } else {
-                closest(x, w)
+                f.cluster(sweep.rep(hu)).boundary[0]
             }
         };
         match (arr_u, arr_v) {
-            (None, None) => c,
-            (Some(x), None) => one_sided(u, x),
-            (None, Some(y)) => one_sided(v, y),
-            (Some(x), Some(y)) => {
-                let between = |x: Vertex| -> bool {
-                    let xc = f.cluster(x);
-                    if xc.kind != ClusterKind::Binary {
-                        return true;
-                    }
-                    let far = if xc.boundary[0] == c {
-                        xc.boundary[1]
-                    } else {
-                        xc.boundary[0]
-                    };
-                    far != rb_m
-                };
-                let bx = between(x);
-                let by = between(y);
-                if bx && by {
-                    c
-                } else if !bx {
-                    closest(x, u)
-                } else {
-                    closest(y, v)
-                }
-            }
+            (Some(x), _) if !between(x) => closest(x, su),
+            (_, Some(y)) if !between(y) => closest(y, sv),
+            _ => c,
         }
     }
 }

@@ -15,8 +15,8 @@
 //! |---|---|---|---|
 //! | [`connectivity`] | `connected`, `batch_connected`, representatives | `root_labels` | `O(k log(1+n/k))` |
 //! | [`subtree_batch`] | batch subtree aggregates | OUT-values top-down | `O(k log(1+n/k))` |
-//! | [`lca`] | single + batch LCA (arbitrary roots) | `root_labels`, `root_boundary`, depth + static tables | `O(k log n)` (paper's table concession) |
-//! | [`path_batch`] | batch path sums (commutative group) | `root_boundary`, root-path-W top-down | `O(k log(1+n/k))` |
+//! | [`lca`] | single + batch LCA (arbitrary roots) | `root_labels`, `root_boundary`, depth + binary-lifting table | `O(k log(1+n/k) · log log n)` |
+//! | [`path_batch`] | batch path sums (commutative group) | one sweep: the [`lca`] tables, then a root-path-W top-down | `O(k log(1+n/k) · log log n)` |
 //! | [`cpt`] | compressed path trees | exposure bottom-up | `O(k log(1+n/k))` |
 //! | [`bottleneck`] | batch path minima/maxima | via [`cpt`] | `O(k log(1+n/k))` |
 //! | [`marked`] | batch nearest-marked-vertex | nearest-global top-down | `O(k log(1+n/k))` |

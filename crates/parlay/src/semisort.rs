@@ -4,7 +4,8 @@
 //! paper uses the expected-linear-work semisort of \[48\]; we hash keys to
 //! 64 bits and sort by hash, which has the same interface and, for the
 //! word-sized keys used throughout this workspace, differs only by the
-//! `O(log n)` comparison-sort factor (documented in DESIGN.md §4). Groups
+//! `O(log n)` comparison-sort factor — a deliberate trade of one log in
+//! work for a far simpler, deterministic-per-seed implementation. Groups
 //! come back as contiguous ranges.
 
 use crate::rng::hash2;

@@ -47,11 +47,11 @@ use std::time::Instant;
 /// update these numbers.
 pub const BATCHED_FROM_K: [u32; 7] = [
     10_000,  // conn
-    10_000,  // repr
-    100_000, // path
+    100_000, // repr
+    10_000,  // path
     10,      // subtree
-    100_000, // lca
-    1_000,   // bottleneck
+    10_000,  // lca
+    10,      // bottleneck
     10,      // near
 ];
 

@@ -42,6 +42,11 @@ impl Mirror {
                 edges.push((u, v, w));
             }
         }
+        Mirror::from_edges(n, naive, &edges)
+    }
+
+    /// Mirror `edges`, already linked in `naive`, into every RC forest.
+    fn from_edges(n: usize, naive: NaiveForest<u64>, edges: &[(u32, u32, u64)]) -> Self {
         let opts = BuildOptions::default();
         let sum_edges: Vec<(u32, u32, i64)> =
             edges.iter().map(|&(u, v, w)| (u, v, w as i64)).collect();
@@ -50,8 +55,8 @@ impl Mirror {
             n,
             sum: RcForest::build_edges(n, &sum_edges, opts).unwrap(),
             unit: RcForest::build_edges(n, &unit_edges, opts).unwrap(),
-            max: RcForest::build_edges(n, &edges, opts).unwrap(),
-            near: RcForest::build_edges(n, &edges, opts).unwrap(),
+            max: RcForest::build_edges(n, edges, opts).unwrap(),
+            near: RcForest::build_edges(n, edges, opts).unwrap(),
             naive,
             marked: vec![false; n],
         }
@@ -133,11 +138,8 @@ impl Mirror {
         }
     }
 
-    fn check_path_sums(&self, rng: &mut SplitMix64) {
-        let pairs: Vec<(u32, u32)> = (0..80)
-            .map(|_| (self.vertex(rng), self.vertex(rng)))
-            .collect();
-        let got = self.sum.batch_path_aggregate(&pairs);
+    fn check_path_sums(&self, pairs: &[(u32, u32)]) {
+        let got = self.sum.batch_path_aggregate(pairs);
         for (i, &(u, v)) in pairs.iter().enumerate() {
             let want = if (u as usize) < self.n && (v as usize) < self.n {
                 self.naive
@@ -178,11 +180,8 @@ impl Mirror {
         }
     }
 
-    fn check_lca(&self, rng: &mut SplitMix64) {
-        let triples: Vec<(u32, u32, u32)> = (0..60)
-            .map(|_| (self.vertex(rng), self.vertex(rng), self.vertex(rng)))
-            .collect();
-        let got = self.unit.batch_lca(&triples);
+    fn check_lca(&self, triples: &[(u32, u32, u32)]) {
+        let got = self.unit.batch_lca(triples);
         for (i, &(u, v, r)) in triples.iter().enumerate() {
             let want = if [u, v, r].iter().all(|&x| (x as usize) < self.n) {
                 self.naive.lca(u, v, r)
@@ -193,11 +192,8 @@ impl Mirror {
         }
     }
 
-    fn check_bottleneck(&self, rng: &mut SplitMix64) {
-        let pairs: Vec<(u32, u32)> = (0..60)
-            .map(|_| (self.vertex(rng), self.vertex(rng)))
-            .collect();
-        let got = self.max.batch_path_extrema(&pairs);
+    fn check_bottleneck(&self, pairs: &[(u32, u32)]) {
+        let got = self.max.batch_path_extrema(pairs);
         for (i, &(u, v)) in pairs.iter().enumerate() {
             let want = if (u as usize) < self.n && (v as usize) < self.n {
                 self.naive.path_edges(u, v)
@@ -289,13 +285,105 @@ fn all_engine_queries_match_oracle_under_interleaved_updates() {
                 .validate()
                 .unwrap_or_else(|e| panic!("seed {seed} round {round}: {e}"));
             mirror.check_connectivity(&mut rng);
-            mirror.check_path_sums(&mut rng);
+            let pairs: Vec<(u32, u32)> = (0..80)
+                .map(|_| (mirror.vertex(&mut rng), mirror.vertex(&mut rng)))
+                .collect();
+            mirror.check_path_sums(&pairs);
             mirror.check_subtree(&mut rng);
-            mirror.check_lca(&mut rng);
-            mirror.check_bottleneck(&mut rng);
+            let triples: Vec<(u32, u32, u32)> = (0..60)
+                .map(|_| {
+                    (
+                        mirror.vertex(&mut rng),
+                        mirror.vertex(&mut rng),
+                        mirror.vertex(&mut rng),
+                    )
+                })
+                .collect();
+            mirror.check_lca(&triples);
+            let pairs: Vec<(u32, u32)> = (0..60)
+                .map(|_| (mirror.vertex(&mut rng), mirror.vertex(&mut rng)))
+                .collect();
+            mirror.check_bottleneck(&pairs);
             mirror.check_cpt(&mut rng);
             mirror.check_nearest_marked(&mut rng);
         }
+    }
+}
+
+/// `k` triples `(u, v, r)` over `m`, with self-pairs `(u, u, r)`,
+/// repeats of earlier triples, and partners `v`, `r` that lie within
+/// `reach` ids of `u` (the oracle's BFS cost) or, one time in ten,
+/// anywhere — possibly out of range or in another component.
+fn mixed_triples(m: &Mirror, rng: &mut SplitMix64, k: usize, reach: u32) -> Vec<(u32, u32, u32)> {
+    let partner = |rng: &mut SplitMix64, u: u32| {
+        if (u as usize) < m.n && rng.next_below(10) != 0 {
+            let lo = u.saturating_sub(reach);
+            let hi = (u + reach).min(m.n as u32 - 1);
+            lo + rng.next_below((hi - lo + 1) as u64) as u32
+        } else {
+            m.vertex(rng)
+        }
+    };
+    let mut triples: Vec<(u32, u32, u32)> = Vec::with_capacity(k);
+    while triples.len() < k {
+        let u = m.vertex(rng);
+        let r = partner(rng, u);
+        let triple = match rng.next_below(10) {
+            0 => (u, u, r),
+            1 if !triples.is_empty() => triples[rng.next_below(triples.len() as u64) as usize],
+            _ => (u, partner(rng, u), r),
+        };
+        triples.push(triple);
+    }
+    triples
+}
+
+/// The three path families at k = 3 000 — above `SEQ_THRESHOLD`, so
+/// marking and answer assembly run in parallel — on the deepest RC tree
+/// (a 20 000-vertex path) and on a random degree-≤3 forest of four
+/// components.
+#[test]
+fn path_families_at_parallel_size_match_oracle() {
+    const K: usize = 3_000;
+    const { assert!(K > rcforest::parlay::SEQ_THRESHOLD) };
+    let mut rng = SplitMix64::new(0xBA7C4);
+
+    let n = 20_000;
+    let mut naive = NaiveForest::<u64>::new(n);
+    let mut path: Vec<(u32, u32, u64)> = Vec::new();
+    for v in 1..n as u32 {
+        let w = 1 + rng.next_below(50);
+        // New vertex first: the oracle's cycle check searches from it.
+        naive.link(v, v - 1, w).unwrap();
+        path.push((v - 1, v, w));
+    }
+    let path = Mirror::from_edges(n, naive, &path);
+
+    let n = 8_000;
+    let mut naive = NaiveForest::<u64>::new(n);
+    let mut edges: Vec<(u32, u32, u64)> = Vec::new();
+    for v in 4..n as u32 {
+        // Attach to an earlier vertex of the same residue class mod 4.
+        let u = loop {
+            let u = (rng.next_below(v as u64 / 4) as u32) * 4 + v % 4;
+            if naive.degree(u) < 3 {
+                break u;
+            }
+        };
+        let w = 1 + rng.next_below(50);
+        naive.link(v, u, w).unwrap();
+        edges.push((u, v, w));
+    }
+    let random = Mirror::from_edges(n, naive, &edges);
+
+    // On the path, ids are positions: a short reach keeps the oracle's
+    // BFS cheap, while `u` stays uniform over the whole path.
+    for (m, reach) in [(&path, 600), (&random, 8_000)] {
+        let triples = mixed_triples(m, &mut rng, K, reach);
+        let pairs: Vec<(u32, u32)> = triples.iter().map(|&(u, v, _)| (u, v)).collect();
+        m.check_path_sums(&pairs);
+        m.check_bottleneck(&pairs);
+        m.check_lca(&triples);
     }
 }
 
