@@ -63,14 +63,20 @@ impl<A: ClusterAggregate> RcForest<A> {
         links: &[(Vertex, Vertex, A::EdgeWeight)],
     ) -> Result<(), ForestError> {
         self.validate_links(links, &[])?;
-        // Cycle check: union-find over current component representatives.
+        // Cycle check: union-find over the batch's distinct component
+        // representatives, renumbered compactly, so the check costs
+        // O(k log k) rather than O(n).
         let reprs: Vec<(Vertex, Vertex)> = links
             .par_iter()
             .map(|&(u, v, _)| (self.find_representative(u), self.find_representative(v)))
             .collect();
-        let mut uf = UnionFind::new(self.n);
+        let mut ids: Vec<Vertex> = reprs.iter().flat_map(|&(ru, rv)| [ru, rv]).collect();
+        ids.sort_unstable();
+        ids.dedup();
+        let id = |r: Vertex| ids.binary_search(&r).expect("representative is in ids") as u32;
+        let mut uf = UnionFind::new(ids.len());
         for (i, &(ru, rv)) in reprs.iter().enumerate() {
-            if ru == rv || !uf.union(ru, rv) {
+            if ru == rv || !uf.union(id(ru), id(rv)) {
                 let (u, v, _) = links[i].clone();
                 return Err(ForestError::WouldCreateCycle { u, v });
             }
@@ -677,6 +683,14 @@ mod tests {
             g.batch_link(&[(0, 1, 1), (1, 2, 1), (2, 0, 1)]),
             Err(ForestError::WouldCreateCycle { .. })
         ));
+        // A cycle that closes through two existing trees.
+        let mut h = F::build_edges(4, &[(0, 1, 1), (2, 3, 1)], BuildOptions::default()).unwrap();
+        assert!(matches!(
+            h.batch_link(&[(1, 2, 1), (3, 0, 1)]),
+            Err(ForestError::WouldCreateCycle { u: 3, v: 0 })
+        ));
+        // Still a forest: the same trees join with one edge.
+        h.batch_link(&[(1, 2, 1)]).unwrap();
     }
 
     #[test]

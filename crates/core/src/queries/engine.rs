@@ -24,8 +24,9 @@
 use crate::aggregate::ClusterAggregate;
 use crate::forest::RcForest;
 use crate::types::{Vertex, NO_VERTEX};
+use rayon::prelude::*;
 use rc_parlay::slice::ParSlice;
-use rc_parlay::{adaptive_grain, parallel_collect, parallel_for_grain, NONE_U32, SEQ_THRESHOLD};
+use rc_parlay::{parallel_collect, NONE_U32};
 use std::sync::Mutex;
 
 /// Reusable arenas backing one [`MarkedSweep`]: the compact marked-subtree
@@ -146,8 +147,9 @@ impl<A: ClusterAggregate> RcForest<A> {
                 v = p.as_vertex();
             }
         };
-        if starts.len() <= SEQ_THRESHOLD {
-            // Common case: walk into the pooled buffer, no allocation.
+        if rayon::runs_inline(starts.len()) {
+            // The grain policy would run the walks inline anyway: walk
+            // into the pooled buffer, no allocation.
             let (starts, nodes) = (&scratch.starts, &mut scratch.nodes);
             for &s in starts {
                 walk(s, nodes);
@@ -375,15 +377,10 @@ impl<'f, A: ClusterAggregate> MarkedSweep<'f, A> {
                     round: &self.scratch.round,
                     min_round: r as u32,
                 };
-                // Small batches take a sequential fast path through the
-                // adaptive grain: for bucket sizes at or below
-                // `SEQ_THRESHOLD` (always the case when the whole marked
-                // set is — the tiny-k `rc_batched` rounds of the fig11b
-                // sweep), the grain equals the bucket length and
-                // `parallel_for_grain` runs the loop inline with no pool
-                // dispatch.
-                parallel_for_grain(bucket.len(), adaptive_grain(bucket.len()), |i| {
-                    let s = bucket[i];
+                // A bucket of at most `rayon::SEQUENTIAL_FLOOR` slots
+                // (every bucket of a tiny-k batch) runs inline on the
+                // caller with no pool job.
+                bucket.par_iter().for_each(|&s| {
                     let v = visit(s, &view);
                     // SAFETY: slot `s` belongs to round `r` and is written
                     // by exactly one iteration; the view only reads rounds

@@ -7,6 +7,13 @@
 //! pseudo-random hashing. Everything is built on [`rayon`]'s fork-join
 //! scheduler, the Rust equivalent of Parlay's work-stealing scheduler.
 //!
+//! Every loop here is counted in elements and chunked by the rayon shim's
+//! one grain policy: loops up to `rayon::SEQUENTIAL_FLOOR` elements run
+//! inline on the caller, larger ones get about eight chunks per pool
+//! thread. The two-pass primitives (scan, pack, counting sort) run both
+//! passes through `rayon::par_chunk_map`, which splits `0..n` the same way
+//! each time; this crate picks no block size of its own.
+//!
 //! All primitives are deterministic given their seed arguments, which the
 //! RC-tree change-propagation algorithm relies on (see `rc-core`).
 //!
@@ -37,64 +44,23 @@ pub mod sort;
 /// Sentinel "null" value used for `u32` indices throughout the workspace.
 pub const NONE_U32: u32 = u32::MAX;
 
-/// Granularity below which parallel loops fall back to sequential execution.
-///
-/// Matches ParlayLib's default granularity philosophy: dispatching to the
-/// pool for fewer than ~2k elements costs more than it saves.
+/// Input length up to which [`sort`] and [`shuffle`] pick a different,
+/// sequential algorithm: `sort_unstable` instead of the parallel merge
+/// sort, Fisher–Yates instead of a sort by hash keys. It is not a grain
+/// size: how a parallel loop is chunked, and whether it runs inline, is
+/// decided by the rayon shim's one grain policy (`rayon::SEQUENTIAL_FLOOR`).
 pub const SEQ_THRESHOLD: usize = 2048;
 
-/// Smallest chunk [`adaptive_grain`] will hand to a pool thread. Below
-/// this, per-chunk scheduling overhead (an atomic claim plus cache
-/// traffic) rivals the work in the chunk.
-pub const MIN_GRAIN: usize = 256;
-
-/// Grain size adapted to the current pool and input length.
-///
-/// Returns `n` (one sequential chunk) when the pool is single-threaded or
-/// the input is below [`SEQ_THRESHOLD`] — parallel machinery would be pure
-/// overhead. Otherwise targets ~8 chunks per pool thread, clamped to
-/// `[MIN_GRAIN, SEQ_THRESHOLD]`, so the pool's dynamic chunk claiming can
-/// rebalance stragglers while chunks stay big enough to amortize their
-/// scheduling cost. Replaces the one-size-fits-all [`SEQ_THRESHOLD`]
-/// blocking used before the persistent pool existed: with many threads the
-/// old fixed 2048-element blocks left most of the pool idle on mid-sized
-/// inputs, and with one thread they still paid the dispatch tax.
-pub fn adaptive_grain(n: usize) -> usize {
-    let t = rayon::current_num_threads();
-    if t <= 1 || n <= SEQ_THRESHOLD {
-        return n.max(1);
-    }
-    (n / (t * 8)).clamp(MIN_GRAIN, SEQ_THRESHOLD)
-}
-
-/// Run `f(i)` for every `i in 0..n`, in parallel when `n` is large enough.
+/// Run `f(i)` for every `i in 0..n`, in parallel chunks sized by the grain
+/// policy (inline on the caller for small `n`).
 ///
 /// `f` must be safe to run concurrently for distinct indices.
 pub fn parallel_for<F: Fn(usize) + Sync>(n: usize, f: F) {
-    parallel_for_grain(n, adaptive_grain(n), f)
+    use rayon::prelude::*;
+    (0..n).into_par_iter().for_each(f);
 }
 
-/// Like [`parallel_for`] but with an explicit grain size.
-pub fn parallel_for_grain<F: Fn(usize) + Sync>(n: usize, grain: usize, f: F) {
-    if n <= grain.max(1) {
-        for i in 0..n {
-            f(i);
-        }
-    } else {
-        use rayon::prelude::*;
-        let grain = grain.max(1);
-        let nblocks = n.div_ceil(grain);
-        (0..nblocks).into_par_iter().for_each(|b| {
-            let lo = b * grain;
-            let hi = (lo + grain).min(n);
-            for i in lo..hi {
-                f(i);
-            }
-        });
-    }
-}
-
-/// Map `f` over `0..n` collecting per-thread outputs into one `Vec`,
+/// Map `f` over `0..n` collecting per-chunk outputs into one `Vec`,
 /// in no particular order. Used to gather marked nodes without scanning
 /// the whole structure.
 pub fn parallel_collect<T, F>(n: usize, f: F) -> Vec<T>
@@ -102,24 +68,11 @@ where
     T: Send,
     F: Fn(usize, &mut Vec<T>) + Sync,
 {
-    let grain = adaptive_grain(n);
-    if n <= grain {
-        let mut out = Vec::new();
-        for i in 0..n {
-            f(i, &mut out);
-        }
-        return out;
-    }
     use rayon::prelude::*;
-    let nblocks = n.div_ceil(grain);
-    (0..nblocks)
+    (0..n)
         .into_par_iter()
-        .fold(Vec::new, |mut acc, b| {
-            let lo = b * grain;
-            let hi = (lo + grain).min(n);
-            for i in lo..hi {
-                f(i, &mut acc);
-            }
+        .fold(Vec::new, |mut acc, i| {
+            f(i, &mut acc);
             acc
         })
         .reduce(Vec::new, |mut a, mut b| {

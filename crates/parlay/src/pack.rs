@@ -1,37 +1,31 @@
 //! Filter, pack, and flatten — the scan-based gather primitives of §2.1.
 
+use crate::parallel_for;
 use crate::scan::scan_exclusive_u32;
 use crate::slice::{uninit_copy_vec, ParSlice};
-use crate::{adaptive_grain, parallel_for_grain};
 use rayon::prelude::*;
+use rayon::{par_chunk_map, runs_inline};
 
 /// Indices `i in 0..n` with `pred(i)`, in increasing order.
 pub fn pack_index<F: Fn(usize) -> bool + Sync>(n: usize, pred: F) -> Vec<u32> {
-    let block = adaptive_grain(n);
-    if n <= block {
+    if runs_inline(n) {
         return (0..n).filter(|&i| pred(i)).map(|i| i as u32).collect();
     }
-    let nblocks = n.div_ceil(block);
-    let mut counts: Vec<u32> = (0..nblocks)
-        .into_par_iter()
-        .map(|b| {
-            let lo = b * block;
-            let hi = (lo + block).min(n);
-            (lo..hi).filter(|&i| pred(i)).count() as u32
-        })
-        .collect();
+    let mut counts: Vec<u32> = par_chunk_map(n, 1, |_, lo, hi| {
+        (lo..hi).filter(|&i| pred(i)).count() as u32
+    });
     let total = scan_exclusive_u32(&mut counts) as usize;
     let mut out: Vec<u32> = uninit_copy_vec(total);
     {
         let ps = ParSlice::new(&mut out);
-        counts.par_iter().enumerate().for_each(|(b, &off)| {
-            let lo = b * block;
-            let hi = (lo + block).min(n);
-            let mut k = off as usize;
+        // Same chunks as the counting pass, so chunk `c` starts writing at
+        // its count's prefix sum.
+        par_chunk_map(n, 1, |c, lo, hi| {
+            let mut k = counts[c] as usize;
             for i in lo..hi {
                 if pred(i) {
-                    // SAFETY: destination ranges are disjoint per block
-                    // (offsets come from the prefix sum of block counts).
+                    // SAFETY: destination ranges are disjoint per chunk
+                    // (offsets come from the prefix sum of chunk counts).
                     unsafe { ps.write(k, i as u32) };
                     k += 1;
                 }
@@ -60,7 +54,7 @@ where
     let mut out: Vec<T> = uninit_copy_vec(idx.len());
     {
         let ps = ParSlice::new(&mut out);
-        parallel_for_grain(idx.len(), adaptive_grain(idx.len()), |k| {
+        parallel_for(idx.len(), |k| {
             // SAFETY: each k written exactly once.
             unsafe { ps.write(k, f(idx[k])) };
         });
@@ -92,13 +86,7 @@ where
     T: Sync,
     F: Fn(&T) -> bool + Sync,
 {
-    let block = adaptive_grain(xs.len());
-    if xs.len() <= block {
-        return xs.iter().filter(|x| pred(x)).count();
-    }
-    xs.par_chunks(block)
-        .map(|c| c.iter().filter(|x| pred(x)).count())
-        .sum()
+    xs.par_iter().map(|x| pred(x) as usize).sum()
 }
 
 #[cfg(test)]

@@ -1,14 +1,15 @@
 //! Parallel prefix sums (scans).
 //!
-//! Two-pass blocked scan: per-block reductions in parallel, a sequential
-//! scan over the (few) block sums, then parallel per-block exclusive scans
-//! with the block offsets. `O(n)` work, `O(log n)` span — the workhorse
-//! behind `pack`, `flatten`, counting sort and the batch-query offsets in
-//! `rc-core`.
+//! Two-pass chunked scan: per-chunk reductions in parallel, a sequential
+//! scan over the (few) chunk sums, then parallel per-chunk exclusive scans
+//! from the chunk offsets. Both passes run through `rayon::par_chunk_map`,
+//! which chunks `0..n` identically each time. `O(n)` work, `O(log n)`
+//! span — the workhorse behind `pack`, `flatten`, counting sort and the
+//! batch-query offsets in `rc-core`.
 
-use crate::adaptive_grain;
 use crate::slice::ParSlice;
 use rayon::prelude::*;
+use rayon::{par_chunk_map, runs_inline};
 
 /// Generic exclusive scan in place. `xs[i]` becomes `op(id, xs[0..i])`;
 /// returns the total reduction of the input.
@@ -20,29 +21,20 @@ where
     F: Fn(T, T) -> T + Send + Sync,
 {
     let n = xs.len();
-    if n == 0 {
-        return id;
-    }
-    let block = adaptive_grain(n);
-    if n <= block {
+    if runs_inline(n) {
         return scan_exclusive_seq(xs, id, &op);
     }
-    let nblocks = n.div_ceil(block);
-    // Pass 1: block sums.
-    let mut sums: Vec<T> = xs
-        .par_chunks(block)
-        .map(|chunk| chunk.iter().fold(id, |a, &b| op(a, b)))
-        .collect();
-    // Serial scan over block sums.
-    let total = scan_exclusive_seq(&mut sums, id, &op);
-    // Pass 2: per-block exclusive scans with offsets.
     let ps = ParSlice::new(xs);
-    sums.par_iter().enumerate().for_each(|(b, &offset)| {
-        let lo = b * block;
-        let hi = (lo + block).min(n);
-        let mut acc = offset;
+    // Pass 1: chunk sums. SAFETY (both passes): chunks are disjoint ranges
+    // of `0..n`, and each chunk touches only its own range.
+    let mut sums: Vec<T> = par_chunk_map(n, 1, |_, lo, hi| {
+        (lo..hi).fold(id, |a, i| op(a, unsafe { ps.read(i) }))
+    });
+    let total = scan_exclusive_seq(&mut sums, id, &op);
+    // Pass 2: per-chunk exclusive scans from the chunk offsets.
+    par_chunk_map(n, 1, |c, lo, hi| {
+        let mut acc = sums[c];
         for i in lo..hi {
-            // SAFETY: block ranges are disjoint across iterations.
             unsafe {
                 let x = ps.read(i);
                 ps.write(i, acc);
@@ -50,7 +42,6 @@ where
             }
         }
     });
-    let _ = nblocks;
     total
 }
 
@@ -84,13 +75,7 @@ where
     T: Copy + Send + Sync,
     F: Fn(T, T) -> T + Send + Sync,
 {
-    let block = adaptive_grain(xs.len());
-    if xs.len() <= block {
-        return xs.iter().fold(id, |a, &b| op(a, b));
-    }
-    xs.par_chunks(block)
-        .map(|c| c.iter().fold(id, |a, &b| op(a, b)))
-        .reduce(|| id, &op)
+    xs.par_iter().map(|&x| x).reduce(|| id, op)
 }
 
 #[cfg(test)]

@@ -10,7 +10,6 @@
 
 use crate::rng::hash2;
 use crate::sort::sort_by_u64_pair_key;
-use crate::SEQ_THRESHOLD;
 use rayon::prelude::*;
 
 /// Result of [`group_by_key`]: the permuted pairs plus the `(lo, hi)`
@@ -34,11 +33,7 @@ where
 
     let n = items.len();
     let is_start = |i: usize| i == 0 || items[i - 1].0 != items[i].0;
-    let starts: Vec<u32> = if n <= SEQ_THRESHOLD {
-        (0..n).filter(|&i| is_start(i)).map(|i| i as u32).collect()
-    } else {
-        crate::pack::pack_index(n, is_start)
-    };
+    let starts = crate::pack::pack_index(n, is_start);
     let mut ranges = Vec::with_capacity(starts.len());
     for (j, &s) in starts.iter().enumerate() {
         let e = if j + 1 < starts.len() {
@@ -54,11 +49,7 @@ where
 /// Group u32 values by a u32 key — the common case (edges grouped by
 /// endpoint in ternarization, clusters grouped by parent in batch queries).
 pub fn group_u32_by_u32(pairs: &[(u32, u32)], seed: u64) -> Vec<(u32, Vec<u32>)> {
-    let wide: Vec<(u64, u32)> = if pairs.len() <= SEQ_THRESHOLD {
-        pairs.iter().map(|&(k, v)| (k as u64, v)).collect()
-    } else {
-        pairs.par_iter().map(|&(k, v)| (k as u64, v)).collect()
-    };
+    let wide: Vec<(u64, u32)> = pairs.par_iter().map(|&(k, v)| (k as u64, v)).collect();
     let (sorted, ranges) = group_by_key(&wide, seed);
     ranges
         .into_iter()

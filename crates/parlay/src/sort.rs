@@ -6,7 +6,8 @@
 
 use crate::scan::scan_exclusive_u32;
 use crate::slice::{uninit_copy_vec, ParSlice};
-use crate::{adaptive_grain, SEQ_THRESHOLD};
+use crate::SEQ_THRESHOLD;
+use rayon::par_chunk_map;
 use rayon::prelude::*;
 
 /// Stable parallel counting sort of `xs` by `key(x) in 0..num_buckets`.
@@ -21,80 +22,45 @@ where
 {
     let n = xs.len();
     assert!(num_buckets > 0);
-    // Blocks hold at least `num_buckets` items so per-block histograms
-    // amortize; the adaptive grain sizes them to the pool above that.
-    let block = adaptive_grain(n).max(num_buckets);
-    if n <= block || num_buckets > n {
-        return counting_sort_seq(xs, num_buckets, key);
+    if n == 0 {
+        return (Vec::new(), vec![0; num_buckets + 1]);
     }
-    let nblocks = n.div_ceil(block);
-    // Per-block histograms, laid out bucket-major so the prefix sum directly
-    // yields scatter offsets: hist[b * nblocks + blk].
-    let mut hist: Vec<u32> = vec![0; num_buckets * nblocks];
-    {
-        let ph = ParSlice::new(&mut hist);
-        (0..nblocks).into_par_iter().for_each(|blk| {
-            let lo = blk * block;
-            let hi = (lo + block).min(n);
-            for x in &xs[lo..hi] {
-                let b = key(x);
-                debug_assert!(b < num_buckets);
-                // SAFETY: each (bucket, blk) cell is owned by block `blk`.
-                unsafe {
-                    let c = ph.get_mut(b * nblocks + blk);
-                    *c += 1;
-                }
-            }
-        });
-    }
-    let total = scan_exclusive_u32(&mut hist);
+    // Chunks hold at least `num_buckets` items so per-chunk histograms
+    // amortize; a small input is one chunk, run inline.
+    let hists: Vec<Vec<u32>> = par_chunk_map(n, num_buckets, |_, lo, hi| {
+        let mut h = vec![0u32; num_buckets];
+        for x in &xs[lo..hi] {
+            h[key(x)] += 1;
+        }
+        h
+    });
+    let nchunks = hists.len();
+    // Bucket-major, so the prefix sum directly yields each (bucket, chunk)
+    // cell's first output slot: starts[b * nchunks + c].
+    let mut starts: Vec<u32> = (0..num_buckets * nchunks)
+        .map(|i| hists[i % nchunks][i / nchunks])
+        .collect();
+    let total = scan_exclusive_u32(&mut starts);
     debug_assert_eq!(total as usize, n);
-    let mut offsets = Vec::with_capacity(num_buckets + 1);
-    for b in 0..num_buckets {
-        offsets.push(hist[b * nblocks]);
-    }
+    let mut offsets: Vec<u32> = (0..num_buckets).map(|b| starts[b * nchunks]).collect();
     offsets.push(n as u32);
 
     let mut out: Vec<T> = uninit_copy_vec(n);
     {
         let po = ParSlice::new(&mut out);
-        let hist = &hist;
-        (0..nblocks).into_par_iter().for_each(|blk| {
-            let lo = blk * block;
-            let hi = (lo + block).min(n);
-            let mut cursors: Vec<u32> = (0..num_buckets).map(|b| hist[b * nblocks + blk]).collect();
+        let starts = &starts;
+        // Same chunks as the histogram pass.
+        par_chunk_map(n, num_buckets, |c, lo, hi| {
+            let mut cursors: Vec<u32> = (0..num_buckets).map(|b| starts[b * nchunks + c]).collect();
             for x in &xs[lo..hi] {
                 let b = key(x);
                 let dst = cursors[b] as usize;
                 cursors[b] += 1;
                 // SAFETY: destination slots are disjoint — each (bucket,
-                // block) range comes from the global prefix sum.
+                // chunk) range comes from the global prefix sum.
                 unsafe { po.write(dst, *x) };
             }
         });
-    }
-    (out, offsets)
-}
-
-fn counting_sort_seq<T, F>(xs: &[T], num_buckets: usize, key: F) -> (Vec<T>, Vec<u32>)
-where
-    T: Copy,
-    F: Fn(&T) -> usize,
-{
-    let mut counts = vec![0u32; num_buckets + 1];
-    for x in xs {
-        counts[key(x) + 1] += 1;
-    }
-    for b in 0..num_buckets {
-        counts[b + 1] += counts[b];
-    }
-    let offsets = counts.clone();
-    let mut out: Vec<T> = uninit_copy_vec(xs.len());
-    let mut cursors = counts;
-    for x in xs {
-        let b = key(x);
-        out[cursors[b] as usize] = *x;
-        cursors[b] += 1;
     }
     (out, offsets)
 }

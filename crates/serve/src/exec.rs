@@ -13,7 +13,7 @@
 //! - **batched** — one batch call per family (the shared marked-subtree
 //!   sweep, `O(k log(1 + n/k))` work),
 //! - **independent** — one `O(log n)` single-query walk per query through
-//!   `parallel_for` (a plain loop up to `rc_parlay::SEQ_THRESHOLD`
+//!   `parallel_for` (inline on the caller up to `rayon::SEQUENTIAL_FLOOR`
 //!   queries, parallel above).
 //!
 //! The paper's fig. 11 shows that batching beats independent walks only
@@ -416,8 +416,10 @@ mod tests {
                 vert(rng)
             }
         };
-        // Above SEQ_THRESHOLD, so the independent engine runs parallel.
+        // Above the grain policy's sequential floor, so the independent
+        // engine's loop runs in parallel.
         let k = 2_100;
+        assert!(k > rayon::SEQUENTIAL_FLOOR);
         let mut reqs: Vec<Request> = Vec::new();
         for _ in 0..k {
             let u = vert(&mut rng);

@@ -3,19 +3,22 @@
 //! The build environment for this repository has no access to a crates.io
 //! registry, so the workspace ships the *subset* of rayon's API that the
 //! rcforest crates actually use, backed by a **persistent work-stealing
-//! thread pool** (the `pool` module). The surface and semantics
-//! match rayon closely enough that pointing the workspace `rayon`
-//! dependency back at crates.io is a one-line change and requires no
-//! source edits.
+//! thread pool** (the `pool` module). The rayon surface and semantics
+//! match rayon closely. Four items go beyond it: the grain policy's
+//! [`SEQUENTIAL_FLOOR`], [`runs_inline`] and [`par_chunk_map`], which
+//! `rc-parlay` and `rc-core` use, and the [`pool_metrics`] counters.
+//! Pointing the workspace `rayon` dependency back at crates.io therefore
+//! needs those items supplied by a small module on top of rayon.
 //!
 //! What is provided:
 //!
 //! * `prelude::*` with [`ParallelIterator`] driving `map`, `enumerate`,
 //!   `for_each`, `collect` (order-preserving), `sum`, `reduce`, and
 //!   `fold(..).reduce(..)`;
-//! * `par_iter()` on slices, `into_par_iter()` on `Range<usize>`,
-//!   `par_chunks(..)` and a parallel-merge-sort
-//!   `par_sort_unstable_by_key(..)` on slices;
+//! * `par_iter()` on slices, `into_par_iter()` on `Range<usize>`, and a
+//!   parallel-merge-sort `par_sort_unstable_by_key(..)` on slices;
+//! * [`par_chunk_map`], one result per grain-sized chunk of `0..n`, for
+//!   multi-pass algorithms whose passes must agree on the chunking;
 //! * [`join`] executing its second branch on a pool worker (or inline if
 //!   nobody steals it), with help-first stealing while blocked;
 //! * [`ThreadPoolBuilder`] / [`ThreadPool::install`] routing parallel
@@ -31,9 +34,19 @@
 //! every participating thread (the caller included) repeatedly claims a
 //! grain-sized range of the index space from a shared atomic counter, so
 //! load imbalance between chunks is absorbed dynamically rather than
-//! baked into a static split. Panics in user closures are caught on the
-//! executing worker, stashed, and re-thrown on the calling thread after
-//! the operation completes; the worker survives and keeps serving jobs.
+//! baked into a static split.
+//!
+//! One grain policy sizes every chunk in the workspace, always counted in
+//! elements. A loop over at most [`SEQUENTIAL_FLOOR`] elements, or any
+//! loop on a one-thread pool, is a single chunk run inline on the caller:
+//! no job is published and no worker wakes. A larger loop gets about
+//! eight chunks per thread. [`par_chunk_map`] applies the same policy,
+//! raised to a caller's minimum chunk length, so no caller picks its own
+//! block size and hands the pool a block count.
+//!
+//! Panics in user closures are caught on the executing worker, stashed,
+//! and re-thrown on the calling thread after the operation completes; the
+//! worker survives and keeps serving jobs.
 //!
 //! The global pool sizes itself from `RAYON_NUM_THREADS` (falling back to
 //! the machine's available parallelism, resolved once). Pools built via
@@ -47,7 +60,7 @@ mod pool;
 mod sort;
 
 pub use metrics::{pool_metrics, pool_metrics_enabled, PoolMetrics};
-pub use pool::{current_num_threads, join};
+pub use pool::{current_num_threads, join, SEQUENTIAL_FLOOR};
 
 use std::mem::MaybeUninit;
 use std::sync::Arc;
@@ -186,7 +199,9 @@ pub trait ParallelIterator: Sized + Sync {
     where
         S: Send + std::iter::Sum<Self::Item> + std::iter::Sum<S>,
     {
-        let partials = fold_chunks(&self, |lo, hi| (lo..hi).map(|i| self.at(i)).sum::<S>());
+        let partials = par_chunk_map(self.par_len(), 1, |_, lo, hi| {
+            (lo..hi).map(|i| self.at(i)).sum::<S>()
+        });
         partials.into_iter().sum()
     }
 
@@ -196,7 +211,7 @@ pub trait ParallelIterator: Sized + Sync {
         ID: Fn() -> Self::Item + Sync,
         OP: Fn(Self::Item, Self::Item) -> Self::Item + Sync,
     {
-        let partials = fold_chunks(&self, |lo, hi| {
+        let partials = par_chunk_map(self.par_len(), 1, |_, lo, hi| {
             let mut acc = identity();
             for i in lo..hi {
                 acc = op(acc, self.at(i));
@@ -215,7 +230,7 @@ pub trait ParallelIterator: Sized + Sync {
         ID: Fn() -> T + Sync,
         F: Fn(T, Self::Item) -> T + Sync,
     {
-        let partials = fold_chunks(&self, |lo, hi| {
+        let partials = par_chunk_map(self.par_len(), 1, |_, lo, hi| {
             let mut acc = identity();
             for i in lo..hi {
                 acc = fold_op(acc, self.at(i));
@@ -226,34 +241,47 @@ pub trait ParallelIterator: Sized + Sync {
     }
 }
 
-/// Run `chunk(lo, hi)` over dynamically claimed parallel chunks, returning
-/// the per-chunk results in chunk (= index) order regardless of which
-/// thread ran which chunk.
-fn fold_chunks<I, T, F>(it: &I, chunk: F) -> Vec<T>
+/// Split `0..n` into the chunks the grain policy picks for `n` elements,
+/// each at least `min_len` long (the last may be shorter), run
+/// `chunk(c, lo, hi)` on every chunk `c` in parallel, and return the
+/// results in chunk order regardless of which thread ran which chunk.
+///
+/// Two calls with the same `(n, min_len)` on the same pool split `0..n`
+/// identically, so a second pass can pair chunk `c` with the first pass's
+/// result `c` (the two-pass scan, pack and counting sort of `rc-parlay`).
+/// Not part of rayon's API.
+pub fn par_chunk_map<T, F>(n: usize, min_len: usize, chunk: F) -> Vec<T>
 where
-    I: ParallelIterator,
     T: Send,
-    F: Fn(usize, usize) -> T + Sync,
+    F: Fn(usize, usize, usize) -> T + Sync,
 {
-    let n = it.par_len();
     if n == 0 {
         return Vec::new();
     }
-    let grain = pool::default_grain(n);
-    let nchunks = pool::chunk_count(n, grain);
-    let mut out: Vec<MaybeUninit<T>> = (0..nchunks).map(|_| MaybeUninit::uninit()).collect();
+    let grain = pool::default_grain(n).max(min_len);
+    let mut out: Vec<MaybeUninit<T>> = (0..n.div_ceil(grain))
+        .map(|_| MaybeUninit::uninit())
+        .collect();
     let ptr = OutPtr(out.as_mut_ptr());
     let ptr = &ptr;
     pool::run_chunked_grain(n, grain, |lo, hi| {
         // Chunk boundaries are grain-aligned, so the chunk id is lo/grain.
         // SAFETY: each chunk id is claimed (and its slot written) exactly
         // once.
-        unsafe { ptr.write(lo / grain, MaybeUninit::new(chunk(lo, hi))) };
+        unsafe { ptr.write(lo / grain, MaybeUninit::new(chunk(lo / grain, lo, hi))) };
     });
     // SAFETY: every slot was written exactly once above.
     out.into_iter()
         .map(|s| unsafe { s.assume_init() })
         .collect()
+}
+
+/// Whether a parallel loop over `n` elements runs inline on the caller:
+/// the grain policy gives it a single chunk and publishes no pool job.
+/// Lets a caller pick an allocation-free sequential form for such loops.
+/// Not part of rayon's API.
+pub fn runs_inline(n: usize) -> bool {
+    pool::default_grain(n) >= n
 }
 
 /// Result of [`ParallelIterator::fold`]: per-chunk accumulators.
@@ -348,24 +376,6 @@ impl<'a, T: Sync> ParallelIterator for SliceIter<'a, T> {
     }
 }
 
-/// Parallel chunk iterator (`par_chunks`).
-pub struct ChunksIter<'a, T> {
-    slice: &'a [T],
-    size: usize,
-}
-
-impl<'a, T: Sync> ParallelIterator for ChunksIter<'a, T> {
-    type Item = &'a [T];
-    fn par_len(&self) -> usize {
-        self.slice.len().div_ceil(self.size)
-    }
-    fn at(&self, i: usize) -> &'a [T] {
-        let lo = i * self.size;
-        let hi = (lo + self.size).min(self.slice.len());
-        &self.slice[lo..hi]
-    }
-}
-
 /// Parallel range iterator (`(a..b).into_par_iter()`).
 pub struct RangeIter {
     start: usize,
@@ -437,19 +447,6 @@ impl<'a, T: Sync + 'a, const N: usize> IntoParallelRefIterator<'a> for [T; N] {
     }
 }
 
-/// Slice-specific parallel views (`par_chunks`).
-pub trait ParallelSlice<T: Sync> {
-    /// Parallel iterator over `size`-element chunks.
-    fn par_chunks(&self, size: usize) -> ChunksIter<'_, T>;
-}
-
-impl<T: Sync> ParallelSlice<T> for [T] {
-    fn par_chunks(&self, size: usize) -> ChunksIter<'_, T> {
-        assert!(size > 0, "chunk size must be positive");
-        ChunksIter { slice: self, size }
-    }
-}
-
 /// Mutable-slice parallel operations (`par_sort_unstable_by_key`).
 pub trait ParallelSliceMut<T: Send> {
     /// Sort by key with a parallel merge sort on the current pool. Not
@@ -474,7 +471,7 @@ impl<T: Send> ParallelSliceMut<T> for [T] {
 pub mod prelude {
     pub use crate::{
         FromParallelIterator, IntoParallelIterator, IntoParallelRefIterator, ParallelIterator,
-        ParallelSlice, ParallelSliceMut,
+        ParallelSliceMut,
     };
 }
 
@@ -503,10 +500,30 @@ mod tests {
     }
 
     #[test]
+    fn chunk_map_tiles_the_range_in_order() {
+        let pool = ThreadPoolBuilder::new().num_threads(4).build().unwrap();
+        for (n, min_len) in [(0, 1), (5, 1), (10_000, 1), (10_000, 3_000), (7, 100)] {
+            let chunks = pool.install(|| par_chunk_map(n, min_len, |c, lo, hi| (c, lo, hi)));
+            let mut next = 0;
+            for (i, &(c, lo, hi)) in chunks.iter().enumerate() {
+                assert_eq!((c, lo), (i, next), "n = {n}");
+                assert!(hi - lo >= min_len.min(n - lo), "n = {n}: short chunk");
+                next = hi;
+            }
+            assert_eq!(next, n);
+        }
+        assert!(pool.install(|| runs_inline(SEQUENTIAL_FLOOR)));
+        assert!(!pool.install(|| runs_inline(SEQUENTIAL_FLOOR + 1)));
+        let one = ThreadPoolBuilder::new().num_threads(1).build().unwrap();
+        assert!(one.install(|| runs_inline(1 << 20)));
+    }
+
+    #[test]
     fn chunks_sum_and_reduce() {
         let xs: Vec<usize> = (0..10_000).collect();
-        let total: usize = xs.par_chunks(128).map(|c| c.iter().sum::<usize>()).sum();
-        assert_eq!(total, 10_000 * 9_999 / 2);
+        let partials = par_chunk_map(xs.len(), 128, |_, lo, hi| xs[lo..hi].iter().sum::<usize>());
+        assert_eq!(partials.into_iter().sum::<usize>(), 10_000 * 9_999 / 2);
+        assert_eq!(xs.par_iter().sum::<usize>(), 10_000 * 9_999 / 2);
         let max = xs.par_iter().map(|&x| x).reduce(|| 0, |a, b| a.max(b));
         assert_eq!(max, 9_999);
     }
@@ -560,8 +577,9 @@ mod tests {
             // Unlike the cap-splitting of the old scoped executor, a real
             // pool reports its full size everywhere inside it — workers
             // included — because nested operations share the same workers
-            // rather than spawning their own.
-            (0..64usize).into_par_iter().for_each(|_| {
+            // rather than spawning their own. The loop is above the
+            // sequential floor so that it reaches the workers.
+            (0..4 * SEQUENTIAL_FLOOR).into_par_iter().for_each(|_| {
                 assert_eq!(current_num_threads(), 4, "workers inherit the pool");
             });
             let (a, b) = join(current_num_threads, current_num_threads);

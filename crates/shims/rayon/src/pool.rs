@@ -305,27 +305,20 @@ impl ForJob {
 }
 
 /// Run `body(lo, hi)` over `0..n` in grain-sized chunks claimed dynamically
-/// by the current pool. Runs inline when the pool is single-threaded or the
-/// range fits one grain. Panics in `body` propagate to the caller after all
-/// claimed chunks finish.
+/// by the current pool. A range that fits one grain (every range on a
+/// one-thread pool, under [`default_grain`]) runs inline with no job.
+/// Panics in `body` propagate to the caller after all claimed chunks
+/// finish.
 pub(crate) fn run_chunked_grain<F: Fn(usize, usize) + Sync>(n: usize, grain: usize, body: F) {
     if n == 0 {
         return;
     }
     let grain = grain.max(1);
-    let reg = current_registry();
-    if reg.size <= 1 || n <= grain {
-        // Inline path. Still one call per grain-sized chunk: callers like
-        // `fold_chunks` allocate one output slot per chunk and rely on
-        // every `(lo, hi)` pair being grain-aligned.
-        let mut lo = 0;
-        while lo < n {
-            let hi = (lo + grain).min(n);
-            body(lo, hi);
-            lo = hi;
-        }
+    if n <= grain {
+        body(0, n);
         return;
     }
+    let reg = current_registry();
     let bodyref: &(dyn Fn(usize, usize) + Sync) = &body;
     // SAFETY: pure lifetime erasure into a raw pointer; this frame does not
     // return until the job is finished and removed from the queue — see the
@@ -353,17 +346,23 @@ pub(crate) fn run_chunked_grain<F: Fn(usize, usize) + Sync>(n: usize, grain: usi
     }
 }
 
-/// Number of chunks [`run_chunked_grain`] will execute for `(n, grain)` —
-/// used by callers that allocate per-chunk output slots.
-pub(crate) fn chunk_count(n: usize, grain: usize) -> usize {
-    n.div_ceil(grain.max(1))
-}
+/// Parallel loops over at most this many elements run inline on the
+/// caller. Below it, publishing a job and waking a worker costs more than
+/// the loop; picked from a sweep of {32, ..., 1024} over the repository
+/// benchmark's `msf_stream` and `query_batches` workloads.
+pub const SEQUENTIAL_FLOOR: usize = 128;
 
-/// Default chunk grain for an `n`-element operation on the current pool:
-/// about eight claims per thread, so dynamic scheduling can rebalance
-/// stragglers without paying a counter round-trip per element.
+/// The workspace's one grain policy: the chunk size for a parallel loop
+/// over `n` elements. `n` itself (one chunk, run inline with no pool job)
+/// on a one-thread pool or when `n <= SEQUENTIAL_FLOOR`; otherwise about
+/// eight chunks per thread, so dynamic claiming can rebalance stragglers
+/// without paying a counter round-trip per element.
 pub(crate) fn default_grain(n: usize) -> usize {
-    (n / (current_num_threads() * 8)).max(1)
+    let threads = current_num_threads();
+    if threads <= 1 || n <= SEQUENTIAL_FLOOR {
+        return n.max(1);
+    }
+    (n / (threads * 8)).max(1)
 }
 
 // ---------------------------------------------------------------------------

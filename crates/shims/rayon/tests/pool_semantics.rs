@@ -149,13 +149,19 @@ fn nested_parallel_for_inside_parallel_for() {
     let pool = ThreadPoolBuilder::new().num_threads(4).build().unwrap();
     let total = AtomicUsize::new(0);
     pool.install(|| {
-        (0..64usize).into_par_iter().for_each(|_| {
-            assert_eq!(current_num_threads(), 4, "workers route to their pool");
-            let inner: usize = (0..1_000usize).into_par_iter().sum();
-            total.fetch_add(inner, Ordering::Relaxed);
-        });
+        // Above the sequential floor, so the outer loop reaches the workers.
+        (0..4 * rayon::SEQUENTIAL_FLOOR)
+            .into_par_iter()
+            .for_each(|_| {
+                assert_eq!(current_num_threads(), 4, "workers route to their pool");
+                let inner: usize = (0..1_000usize).into_par_iter().sum();
+                total.fetch_add(inner, Ordering::Relaxed);
+            });
     });
-    assert_eq!(total.load(Ordering::Relaxed), 64 * (1_000 * 999 / 2));
+    assert_eq!(
+        total.load(Ordering::Relaxed),
+        4 * rayon::SEQUENTIAL_FLOOR * (1_000 * 999 / 2)
+    );
 }
 
 #[test]

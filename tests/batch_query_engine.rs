@@ -338,14 +338,14 @@ fn mixed_triples(m: &Mirror, rng: &mut SplitMix64, k: usize, reach: u32) -> Vec<
     triples
 }
 
-/// The three path families at k = 3 000 — above `SEQ_THRESHOLD`, so
-/// marking and answer assembly run in parallel — on the deepest RC tree
-/// (a 20 000-vertex path) and on a random degree-≤3 forest of four
-/// components.
+/// The three path families at k = 3 000 — above the grain policy's
+/// `SEQUENTIAL_FLOOR`, so marking and answer assembly run in parallel —
+/// on the deepest RC tree (a 20 000-vertex path) and on a random
+/// degree-≤3 forest of four components.
 #[test]
 fn path_families_at_parallel_size_match_oracle() {
     const K: usize = 3_000;
-    const { assert!(K > rcforest::parlay::SEQ_THRESHOLD) };
+    const { assert!(K > rayon::SEQUENTIAL_FLOOR) };
     let mut rng = SplitMix64::new(0xBA7C4);
 
     let n = 20_000;
